@@ -2,14 +2,15 @@
 
 Subcommands: pattern, solve, sweep, histogram, dynamics, spectrum, gap.
 Outputs are plot-ready CSV or JSON; file outputs get a meta.json sidecar
-with the config echo and version.  Exit codes: 0 success, 2 invalid
-config, 3 numerical failure.
+with the run's provenance: config echo, version and wall time.  Exit
+codes: 0 success, 2 invalid config, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
@@ -17,13 +18,16 @@ import time
 import yaml
 
 from . import __version__
-from .patterns import pattern_text, save_pattern
-from .interaction import assemble, spectral_norm, singular_gap
+from .patterns import pattern_text
+# spectral_norm is unused here; perfbench/tracing.py wraps it by this name.
+from .interaction import assemble, spectral_norm  # noqa: F401
 from .equilibrium import DivergenceError, EquilibriumError, solve_feasibility
 from .dynamics import IntegrationError
 from .experiments import (
+    MODELS,
     ConfigError,
     SweepConfig,
+    _provenance,
     build_pattern,
     pattern_seed,
     run_abundance_histogram,
@@ -40,7 +44,12 @@ EXIT_NUMERICAL_FAILURE = 3
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker count")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="worker processes for sweep and histogram; spectrum runs in-process "
+        "on purpose, since its BLAS eigensolve already uses every core (a "
+        "2-process pool measured 1.3-1.9x slower on 2 cores)",
+    )
     parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--config", type=str, default=None, help="flat key-value config file")
@@ -60,18 +69,8 @@ def _load_config(args, **overrides) -> SweepConfig:
     return SweepConfig.from_mapping(mapping)
 
 
-def _write_rows(args, header, rows, meta=None):
-    if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
+def _write_text(args, text, meta=None):
+    """Write ``text`` to ``--out`` (plus the meta.json sidecar) or stdout."""
     if args.out:
         with open(args.out, "w") as f:
             f.write(text)
@@ -83,26 +82,31 @@ def _write_rows(args, header, rows, meta=None):
         sys.stdout.write(text)
 
 
-def _meta(cfg=None, **extra) -> dict:
-    meta = {"version": __version__, "wall_time_s": None, **extra}
-    if cfg is not None:
-        meta["config"] = cfg.echo()
-    return meta
+def _write_rows(args, header, rows, meta=None):
+    if args.format == "json":
+        payload = [dict(zip(header, row)) for row in rows]
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    _write_text(args, text, meta)
 
 
 def cmd_pattern(args) -> int:
+    t0 = time.time()
     cfg = _load_config(
         args, n=args.n, d=args.d, model=args.model, beta=args.beta,
     )
     pattern = build_pattern(cfg, pattern_seed(cfg.master_seed))
-    if args.out:
-        save_pattern(pattern, args.out)
-    else:
-        sys.stdout.write(pattern_text(pattern))
+    _write_text(args, pattern_text(pattern), _provenance(cfg, t0))
     return 0
 
 
 def cmd_solve(args) -> int:
+    t0 = time.time()
     cfg = _load_config(
         args, n=args.n, d=args.d, model=args.model, beta=args.beta,
         kappa_grid=[args.kappa] if args.kappa is not None else None,
@@ -111,60 +115,43 @@ def cmd_solve(args) -> int:
     pattern = build_pattern(cfg, pattern_seed(cfg.master_seed))
     M = assemble(pattern, cfg.alpha(kappa), trial_seed(cfg.master_seed, 0, 0))
     report = solve_feasibility(M, tol=cfg.solver_tol)
+    meta = _provenance(cfg, t0)
     if args.format == "json" or args.full_state:
-        text = report.to_json(full_state=args.full_state) + "\n"
-        if args.out:
-            with open(args.out, "w") as f:
-                f.write(text)
-        else:
-            sys.stdout.write(text)
+        _write_text(args, report.to_json(full_state=args.full_state) + "\n", meta)
     else:
         scalars = report.scalar_dict()
-        _write_rows(args, list(scalars), [tuple(scalars.values())], _meta(cfg))
-        return 0
-    if args.out:
-        with open(args.out + ".meta.json", "w") as f:
-            json.dump(_meta(cfg), f, indent=2)
-            f.write("\n")
+        _write_rows(args, list(scalars), [tuple(scalars.values())], meta)
     return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.time()
-    result = run_feasibility_sweep(cfg, workers=args.threads)
+    result = run_feasibility_sweep(_load_config(args), workers=args.threads)
     header = list(result.CSV_COLUMNS)
     rows = [tuple(r[c] for c in header) for r in result.rows]
-    meta = _meta(cfg, wall_time_s=time.time() - t0)
-    _write_rows(args, header, rows, meta)
+    _write_rows(args, header, rows, result.provenance)
     return 0
 
 
 def cmd_histogram(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.time()
-    result = run_abundance_histogram(cfg, args.kappa, bins=args.bins, workers=args.threads)
-    header, rows = result.bin_rows()
-    meta = _meta(
-        cfg,
-        wall_time_s=time.time() - t0,
-        kappa=args.kappa,
-        mean=result.mean,
-        variance=result.variance,
-        pooled=result.pooled,
-        diverged=result.diverged,
+    result = run_abundance_histogram(
+        _load_config(args), args.kappa, bins=args.bins, workers=args.threads
     )
+    header, rows = result.bin_rows()
+    meta = {
+        **result.provenance,
+        "mean": result.mean,
+        "variance": result.variance,
+        "pooled": result.pooled,
+        "diverged": result.diverged,
+    }
     _write_rows(args, header, rows, meta)
     return 0
 
 
 def cmd_dynamics(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.time()
-    trace = run_dynamics_trace(cfg, args.kappa)
+    trace = run_dynamics_trace(_load_config(args), args.kappa)
     header, rows = trace.record.series_rows()
-    meta = _meta(cfg, wall_time_s=time.time() - t0, kappa=args.kappa)
-    _write_rows(args, header, rows, meta)
+    _write_rows(args, header, rows, trace.provenance)
     if args.out:
         t_header, t_rows = trace.trace_rows()
         with open(args.out + ".traces.csv", "w") as f:
@@ -175,34 +162,29 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _load_config(args)
-    t0 = time.time()
-    result = run_spectrum_check(cfg, args.kappa, workers=args.threads)
+    result = run_spectrum_check(_load_config(args), args.kappa, workers=args.threads)
     header = list(result.CSV_COLUMNS)
     rows = [tuple(r[c] for c in header) for r in result.rows]
-    meta = _meta(
-        cfg,
-        wall_time_s=time.time() - t0,
-        kappa=args.kappa,
-        skipped=result.skipped,
-        mean_max_real_part=result.mean_max_real_part,
-        mean_localization_error=result.mean_localization_error,
-    )
+    meta = {
+        **result.provenance,
+        "skipped": result.skipped,
+        "mean_max_real_part": result.mean_max_real_part,
+        "mean_localization_error": result.mean_localization_error,
+    }
     _write_rows(args, header, rows, meta)
     return 0
 
 
 def cmd_gap(args) -> int:
+    t0 = time.time()
     gaps = run_singular_gap_trials(
         args.n, args.d, args.trials, args.seed, model=args.model
     )
-    header = ["trial", "min_gap"]
-    rows = list(enumerate(gaps))
-    meta = _meta(
-        None, n=args.n, d=args.d, trials=args.trials, seed=args.seed,
+    meta = _provenance(
+        None, t0, n=args.n, d=args.d, trials=args.trials, seed=args.seed,
         min_over_trials=min(gaps),
     )
-    _write_rows(args, header, rows, meta)
+    _write_rows(args, ["trial", "min_gap"], list(enumerate(gaps)), meta)
     return 0
 
 
@@ -218,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument("--model", choices=("block_permutation", "general_regular", "full", "proportional"))
+    p.add_argument("--model", choices=MODELS)
     p.add_argument("--beta", type=float)
     p.set_defaults(func=cmd_pattern)
 
@@ -226,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
-    p.add_argument("--model", choices=("block_permutation", "general_regular", "full", "proportional"))
+    p.add_argument("--model", choices=MODELS)
     p.add_argument("--beta", type=float)
     p.add_argument("--kappa", type=float, help="alpha = sqrt(kappa log n)")
     p.add_argument("--full-state", action="store_true", help="include x in JSON output")
@@ -257,7 +239,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--model", choices=("block_permutation", "general_regular", "full"), default="general_regular")
+    # no --beta here, so no proportional model
+    p.add_argument(
+        "--model", choices=tuple(m for m in MODELS if m != "proportional"),
+        default="general_regular",
+    )
     p.set_defaults(func=cmd_gap)
     return parser
 

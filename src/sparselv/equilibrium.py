@@ -63,18 +63,6 @@ class EquilibriumReport:
     d: int
     seed: int | None
 
-    SCALAR_FIELDS = (
-        "feasible",
-        "min_x",
-        "argmin",
-        "min_Z",
-        "residual_inf",
-        "alpha",
-        "n",
-        "d",
-        "seed",
-    )
-
     def scalar_dict(self) -> dict:
         return {
             "feasible": self.feasible,

@@ -5,6 +5,18 @@ index), so runs are fully deterministic given the config, independent of
 worker count and scheduling.  Aggregation reduces per-trial records in
 sorted (kappa, trial) order, which makes floating-point sums reproducible
 across 1 and W workers.
+
+Every driver runs its trials through one engine,
+``run_trials(cfg, tasks, trial_fn, workers=1, **extra)``.  It calls the
+module-level ``trial_fn(task)`` once per task, in-process when
+``workers <= 1`` and otherwise in a process pool (chunksize 8), and returns
+the results in task order.  Before the first trial each worker stores
+``cfg`` and the ``extra`` keywords in its context ``_CTX`` and, when
+``cfg.fix_pattern`` is set, builds the fixed pattern once.  Inside a trial,
+``_matrix(kappa_index, trial, alpha)`` assembles the seeded interaction
+matrix on that cached pattern, or on the trial's own pattern otherwise.
+Each driver's ``provenance`` comes from ``_provenance``: config echo,
+driver-specific keys, package version and wall time.
 """
 
 from __future__ import annotations
@@ -20,13 +32,12 @@ from . import __version__
 from .patterns import (
     AdjacencyPattern,
     Permutation,
-    PatternModel,
     block_permutation_pattern,
     full_pattern,
     general_regular_pattern,
     proportional_pattern,
 )
-from .interaction import InteractionMatrix, assemble, spectral_norm
+from .interaction import InteractionMatrix, assemble, singular_gap, spectral_norm
 from .equilibrium import DivergenceError, solve_feasibility
 from .dynamics import TrajectoryRecord, integrate_lv, jacobian_spectrum
 
@@ -45,9 +56,11 @@ __all__ = [
     "trial_seed",
     "pattern_seed",
     "build_pattern",
+    "run_trials",
+    "MODELS",
 ]
 
-_MODELS = ("block_permutation", "general_regular", "full", "proportional")
+MODELS = ("block_permutation", "general_regular", "full", "proportional")
 
 
 class ConfigError(ValueError):
@@ -74,8 +87,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.model not in _MODELS:
-            raise ConfigError(f"model must be one of {_MODELS}, got {self.model!r}")
+        if self.model not in MODELS:
+            raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.model == "full":
             self.d = self.n
         elif self.model == "proportional":
@@ -147,7 +160,7 @@ def build_pattern(cfg: SweepConfig, seed: int) -> AdjacencyPattern:
 
 
 # ---------------------------------------------------------------------------
-# Feasibility sweep
+# Trial engine
 # ---------------------------------------------------------------------------
 
 # Worker-process state: the fixed pattern is rebuilt per worker from the
@@ -155,35 +168,65 @@ def build_pattern(cfg: SweepConfig, seed: int) -> AdjacencyPattern:
 _CTX: dict = {}
 
 
-def _sweep_init(cfg: SweepConfig) -> None:
-    _CTX["cfg"] = cfg
-    _CTX["pattern"] = build_pattern(cfg, pattern_seed(cfg.master_seed)) if cfg.fix_pattern else None
+def _init(cfg: SweepConfig, extra: dict) -> None:
+    fixed = build_pattern(cfg, pattern_seed(cfg.master_seed)) if cfg.fix_pattern else None
+    _CTX.clear()
+    _CTX.update(extra, cfg=cfg, pattern=fixed)
 
 
-def _sweep_trial(task: tuple[int, int]) -> tuple[int, int, dict]:
+def _matrix(kappa_index: int, trial: int, alpha: float) -> InteractionMatrix:
+    """Seeded interaction matrix of one trial on the cached or per-trial pattern."""
     cfg: SweepConfig = _CTX["cfg"]
-    kappa_index, trial = task
-    kappa = cfg.kappa_grid[kappa_index]
-    alpha = cfg.alpha(kappa)
-    seed = trial_seed(cfg.master_seed, kappa_index, trial)
     pattern = _CTX["pattern"]
     if pattern is None:
         pattern = build_pattern(cfg, pattern_seed(cfg.master_seed, trial))
-    M = assemble(pattern, alpha, seed)
+    return assemble(pattern, alpha, trial_seed(cfg.master_seed, kappa_index, trial))
+
+
+def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1, **extra) -> list:
+    """``[trial_fn(task) for task in tasks]``, in-process or in a pool of
+    ``workers`` processes; see the module docstring."""
+    if workers <= 1:
+        _init(cfg, extra)
+        return [trial_fn(t) for t in tasks]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init, initargs=(cfg, extra)
+    ) as pool:
+        return list(pool.map(trial_fn, tasks, chunksize=8))
+
+
+def _provenance(cfg: SweepConfig | None, t0: float, **extra) -> dict:
+    """Sidecar record of a run that started at ``time.time() == t0``."""
+    config = {} if cfg is None else {"config": cfg.echo()}
+    return {**config, **extra, "version": __version__, "wall_time_s": time.time() - t0}
+
+
+def _mean(values: list) -> float:
+    return sum(values) / len(values) if values else math.nan
+
+
+# ---------------------------------------------------------------------------
+# Feasibility sweep
+# ---------------------------------------------------------------------------
+
+
+def _sweep_trial(task: tuple[int, int]) -> dict:
+    cfg: SweepConfig = _CTX["cfg"]
+    kappa_index, trial = task
+    alpha = cfg.alpha(cfg.kappa_grid[kappa_index])
+    M = _matrix(kappa_index, trial, alpha)
     # Loose norm estimate: only the >= alpha guard needs to be reliable,
     # the solver's own divergence detection covers borderline cases.
     norm_est = spectral_norm(
         M, unscaled=True, tol=1e-8, max_iter=500, full_spectrum=False
     ).spectral_norm
-    record = {"spectral_norm": norm_est}
+    record = {"spectral_norm": norm_est, "diverged": True, "feasible": False}
     if norm_est >= alpha:
-        record.update(diverged=True, feasible=False)
-        return kappa_index, trial, record
+        return record
     try:
         report = solve_feasibility(M, tol=cfg.solver_tol)
     except DivergenceError:
-        record.update(diverged=True, feasible=False)
-        return kappa_index, trial, record
+        return record
     max_r_norm = float(np.max(np.abs(report.R))) / (alpha * math.sqrt(2.0 * math.log(cfg.n)))
     record.update(
         diverged=False,
@@ -191,7 +234,7 @@ def _sweep_trial(task: tuple[int, int]) -> tuple[int, int, dict]:
         min_x=report.min_x,
         max_R_normalized=max_r_norm,
     )
-    return kappa_index, trial, record
+    return record
 
 
 @dataclass
@@ -215,16 +258,6 @@ class SweepResult:
         return [(r["kappa"], r["feasible_fraction"]) for r in self.rows]
 
 
-def _map_trials(cfg, tasks, worker, init, workers):
-    if workers <= 1:
-        init(cfg)
-        return [worker(t) for t in tasks]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=init, initargs=(cfg,)
-    ) as pool:
-        return list(pool.map(worker, tasks, chunksize=8))
-
-
 def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Feasibility fraction per kappa over seeded trials.
 
@@ -234,44 +267,29 @@ def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     (non-diverged) trials, ``mean_spectral_norm`` over all trials.
     """
     t0 = time.time()
-    tasks = [
-        (ki, t)
-        for ki in range(len(cfg.kappa_grid))
-        for t in range(cfg.trials_per_point)
-    ]
-    results = _map_trials(cfg, tasks, _sweep_trial, _sweep_init, workers)
-    by_key = {(ki, t): rec for ki, t, rec in results}
+    T = cfg.trials_per_point
+    tasks = [(ki, t) for ki in range(len(cfg.kappa_grid)) for t in range(T)]
+    results = run_trials(cfg, tasks, _sweep_trial, workers)
 
     rows = []
     for ki, kappa in enumerate(cfg.kappa_grid):
-        recs = [by_key[(ki, t)] for t in range(cfg.trials_per_point)]
+        recs = results[ki * T : (ki + 1) * T]
         solved = [r for r in recs if not r["diverged"]]
         feasible_count = sum(1 for r in recs if r["feasible"])
         rows.append(
             {
                 "kappa": kappa,
                 "alpha": cfg.alpha(kappa),
-                "trials": len(recs),
+                "trials": T,
                 "feasible_count": feasible_count,
-                "diverged": sum(1 for r in recs if r["diverged"]),
-                "feasible_fraction": feasible_count / len(recs),
-                "mean_min_x": (
-                    sum(r["min_x"] for r in solved) / len(solved) if solved else math.nan
-                ),
-                "mean_max_R_normalized": (
-                    sum(r["max_R_normalized"] for r in solved) / len(solved)
-                    if solved
-                    else math.nan
-                ),
-                "mean_spectral_norm": sum(r["spectral_norm"] for r in recs) / len(recs),
+                "diverged": T - len(solved),
+                "feasible_fraction": feasible_count / T,
+                "mean_min_x": _mean([r["min_x"] for r in solved]),
+                "mean_max_R_normalized": _mean([r["max_R_normalized"] for r in solved]),
+                "mean_spectral_norm": _mean([r["spectral_norm"] for r in recs]),
             }
         )
-    provenance = {
-        "config": cfg.echo(),
-        "version": __version__,
-        "wall_time_s": time.time() - t0,
-    }
-    return SweepResult(rows=rows, provenance=provenance)
+    return SweepResult(rows=rows, provenance=_provenance(cfg, t0))
 
 
 # ---------------------------------------------------------------------------
@@ -279,31 +297,15 @@ def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _hist_init(cfg_and_extra) -> None:
-    cfg, kappa, edges = cfg_and_extra
-    _CTX["cfg"] = cfg
-    _CTX["kappa"] = kappa
-    _CTX["edges"] = edges
-    _CTX["pattern"] = build_pattern(cfg, pattern_seed(cfg.master_seed)) if cfg.fix_pattern else None
-
-
-def _hist_trial(trial: int) -> tuple[int, dict]:
-    cfg: SweepConfig = _CTX["cfg"]
-    kappa, edges = _CTX["kappa"], _CTX["edges"]
-    alpha = cfg.alpha(kappa)
-    seed = trial_seed(cfg.master_seed, 0, trial)
-    pattern = _CTX["pattern"]
-    if pattern is None:
-        pattern = build_pattern(cfg, pattern_seed(cfg.master_seed, trial))
-    M = assemble(pattern, alpha, seed)
+def _hist_trial(trial: int) -> dict | None:
+    """Histogram counts and moments of one equilibrium; None if diverged."""
+    M = _matrix(0, trial, _CTX["alpha"])
     try:
-        report = solve_feasibility(M, tol=cfg.solver_tol)
+        x = solve_feasibility(M, tol=_CTX["cfg"].solver_tol).x
     except DivergenceError:
-        return trial, {"diverged": True}
-    x = report.x
-    counts, _ = np.histogram(x, bins=edges)
-    return trial, {
-        "diverged": False,
+        return None
+    counts, _ = np.histogram(x, bins=_CTX["edges"])
+    return {
         "counts": counts,
         "sum": float(x.sum()),
         "sumsq": float((x * x).sum()),
@@ -354,26 +356,15 @@ def run_abundance_histogram(
     alpha = cfg.alpha(kappa)
     span = 8.0 / alpha
     edges = np.linspace(1.0 - span, 1.0 + span, bins + 1)
-    tasks = list(range(cfg.trials_per_point))
-    results = _map_trials((cfg, kappa, edges), tasks, _hist_trial, _hist_init, workers)
-    by_trial = {t: rec for t, rec in results}
+    tasks = range(cfg.trials_per_point)
+    results = run_trials(cfg, tasks, _hist_trial, workers, alpha=alpha, edges=edges)
 
-    counts = np.zeros(bins, dtype=np.int64)
-    total = 0
-    acc_sum = 0.0
-    acc_sumsq = 0.0
-    diverged = 0
-    for t in sorted(by_trial):
-        rec = by_trial[t]
-        if rec["diverged"]:
-            diverged += 1
-            continue
-        counts += rec["counts"]
-        total += rec["count"]
-        acc_sum += rec["sum"]
-        acc_sumsq += rec["sumsq"]
-    mean = acc_sum / total if total else math.nan
-    variance = acc_sumsq / total - mean * mean if total else math.nan
+    # Sums run in trial order, as the byte-identity across worker counts needs.
+    solved = [rec for rec in results if rec is not None]
+    counts = sum((rec["counts"] for rec in solved), np.zeros(bins, dtype=np.int64))
+    total = sum(rec["count"] for rec in solved)
+    mean = sum(rec["sum"] for rec in solved) / total if total else math.nan
+    variance = sum(rec["sumsq"] for rec in solved) / total - mean * mean if total else math.nan
     return HistogramResult(
         kappa=kappa,
         alpha=alpha,
@@ -383,14 +374,8 @@ def run_abundance_histogram(
         variance=variance,
         pooled=total,
         trials=cfg.trials_per_point,
-        diverged=diverged,
-        provenance={
-            "config": cfg.echo(),
-            "kappa": kappa,
-            "bins": bins,
-            "version": __version__,
-            "wall_time_s": time.time() - t0,
-        },
+        diverged=len(results) - len(solved),
+        provenance=_provenance(cfg, t0, kappa=kappa, bins=bins),
     )
 
 
@@ -421,7 +406,8 @@ class DynamicsTrace:
 
 def run_dynamics_trace(cfg: SweepConfig, kappa: float) -> DynamicsTrace:
     """Integrate one seeded trial and extract the min/max/mean series plus
-    full traces for a random selection of species (all from x0 = 1/2)."""
+    full traces for a random selection of species (all from x0 = 1/2).
+    The trial always uses the fixed pattern, whatever ``cfg.fix_pattern``."""
     t0 = time.time()
     alpha = cfg.alpha(kappa)
     pattern = build_pattern(cfg, pattern_seed(cfg.master_seed))
@@ -454,12 +440,7 @@ def run_dynamics_trace(cfg: SweepConfig, kappa: float) -> DynamicsTrace:
         species_traces=traces,
         kappa=kappa,
         alpha=alpha,
-        provenance={
-            "config": cfg.echo(),
-            "kappa": kappa,
-            "version": __version__,
-            "wall_time_s": time.time() - t0,
-        },
+        provenance=_provenance(cfg, t0, kappa=kappa),
     )
 
 
@@ -474,68 +455,56 @@ class SpectrumSweepResult:
     CSV_COLUMNS = ("trial", "max_real_part", "localization_error", "min_x")
 
 
+def _spectrum_trial(trial: int) -> dict | None:
+    """Jacobian spectrum row at a feasible equilibrium; None otherwise."""
+    M = _matrix(0, trial, _CTX["alpha"])
+    try:
+        report = solve_feasibility(M, tol=_CTX["cfg"].solver_tol)
+    except DivergenceError:
+        return None
+    if not report.feasible:
+        return None
+    spec = jacobian_spectrum(M, report.x)
+    return {
+        "trial": trial,
+        "max_real_part": spec.max_real_part,
+        "localization_error": spec.localization_error,
+        "min_x": report.min_x,
+    }
+
+
 def run_spectrum_check(cfg: SweepConfig, kappa: float, workers: int = 1) -> SpectrumSweepResult:
     """Per-trial Jacobian spectra at the feasible equilibrium.  Infeasible
-    or diverged trials are skipped and counted."""
+    or diverged trials are skipped and counted.
+
+    Trials run in-process whatever ``workers`` says: the dense eigensolve
+    already uses every core through the BLAS.  On 2 cores with OpenBLAS on
+    2 threads, 3 trials at n=1000, d=8 took 1.9-2.5 s in-process and
+    2.9-4.0 s in a 2-process pool (chunksize 1).
+    """
     t0 = time.time()
     alpha = cfg.alpha(kappa)
-    pattern_fixed = build_pattern(cfg, pattern_seed(cfg.master_seed)) if cfg.fix_pattern else None
-    rows = []
-    skipped = 0
-    for trial in range(cfg.trials_per_point):
-        pattern = pattern_fixed
-        if pattern is None:
-            pattern = build_pattern(cfg, pattern_seed(cfg.master_seed, trial))
-        M = assemble(pattern, alpha, trial_seed(cfg.master_seed, 0, trial))
-        try:
-            report = solve_feasibility(M, tol=cfg.solver_tol)
-        except DivergenceError:
-            skipped += 1
-            continue
-        if not report.feasible:
-            skipped += 1
-            continue
-        spec = jacobian_spectrum(M, report.x)
-        rows.append(
-            {
-                "trial": trial,
-                "max_real_part": spec.max_real_part,
-                "localization_error": spec.localization_error,
-                "min_x": report.min_x,
-            }
-        )
-    mean_max = sum(r["max_real_part"] for r in rows) / len(rows) if rows else math.nan
-    mean_loc = (
-        sum(r["localization_error"] for r in rows) / len(rows) if rows else math.nan
-    )
+    results = run_trials(cfg, range(cfg.trials_per_point), _spectrum_trial, alpha=alpha)
+    rows = [r for r in results if r is not None]
     return SpectrumSweepResult(
         rows=rows,
-        skipped=skipped,
-        mean_max_real_part=mean_max,
-        mean_localization_error=mean_loc,
-        provenance={
-            "config": cfg.echo(),
-            "kappa": kappa,
-            "version": __version__,
-            "wall_time_s": time.time() - t0,
-        },
+        skipped=len(results) - len(rows),
+        mean_max_real_part=_mean([r["max_real_part"] for r in rows]),
+        mean_localization_error=_mean([r["localization_error"] for r in rows]),
+        provenance=_provenance(cfg, t0, kappa=kappa),
     )
+
+
+def _gap_trial(trial: int) -> float:
+    return singular_gap(_matrix(0, trial, 1.0))
 
 
 def run_singular_gap_trials(
     n: int, d: int, trials: int, master_seed: int, model: str = "general_regular"
 ) -> list[float]:
     """Monte Carlo over the smallest consecutive singular-value gap of the
-    raw masked matrix (almost surely positive)."""
-    from .interaction import singular_gap
-
+    raw masked matrix (almost surely positive), on one fixed pattern."""
     cfg = SweepConfig(
-        n=n, d=d, model=model, kappa_grid=[2.0], trials_per_point=trials,
-        master_seed=master_seed,
+        n=n, d=d, model=model, trials_per_point=trials, master_seed=master_seed,
     )
-    pattern = build_pattern(cfg, pattern_seed(master_seed))
-    gaps = []
-    for trial in range(trials):
-        M = assemble(pattern, 1.0, trial_seed(master_seed, 0, trial))
-        gaps.append(singular_gap(M))
-    return gaps
+    return run_trials(cfg, range(trials), _gap_trial)

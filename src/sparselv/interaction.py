@@ -22,7 +22,6 @@ __all__ = [
     "InteractionMatrix",
     "SpectralReport",
     "assemble",
-    "matvec",
     "spectral_norm",
     "singular_gap",
     "NORM_ENVELOPE",
@@ -148,10 +147,6 @@ def assemble(p: AdjacencyPattern, alpha: float, seed: int) -> InteractionMatrix:
     rng = np.random.Generator(np.random.Philox(key=seed))
     weights = rng.standard_normal(p.n * p.d).reshape(p.n, p.d)
     return InteractionMatrix(pattern=p, weights=weights, alpha=alpha, seed=seed)
-
-
-def matvec(M: InteractionMatrix, v: np.ndarray) -> np.ndarray:
-    return M.matvec(v)
 
 
 def _power_iteration_sigma(

@@ -178,7 +178,6 @@ def general_regular_pattern(
     rng = np.random.default_rng(rng_seed)
     cols = np.full((n, d), -1, dtype=np.int64)
     used = np.zeros((n, n), dtype=bool) if n <= 4096 else None
-    perms: list[tuple[int, ...]] = []
     fallback = False
     for k in range(d):
         placed = False
@@ -192,7 +191,6 @@ def general_regular_pattern(
                 cols[:, k] = p
                 if used is not None:
                     used[np.arange(n), p] = True
-                perms.append(tuple(int(v) for v in p))
                 placed = True
                 break
         if not placed:
@@ -203,7 +201,7 @@ def general_regular_pattern(
         meta = {"method": "cyclic_fallback"}
     else:
         row_cols = np.sort(cols, axis=1)
-        meta = {"method": "permutation_superposition", "permutations": perms}
+        meta = {"method": "permutation_superposition"}
     return AdjacencyPattern(
         n=n,
         d=d,

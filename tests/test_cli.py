@@ -1,8 +1,10 @@
 import csv
 import json
 
+import pytest
 import yaml
 
+from sparselv import __version__
 from sparselv.cli import EXIT_INVALID_CONFIG, EXIT_NUMERICAL_FAILURE, main
 from sparselv.patterns import load_pattern
 
@@ -153,6 +155,32 @@ class TestGap:
         assert lines[0] == "trial,min_gap"
         assert len(lines) == 6
         assert all(float(line.split(",")[1]) > 0.0 for line in lines[1:])
+
+
+# Every subcommand that writes a file; CONFIG stands for a config file path.
+SIDECAR_CASES = {
+    "pattern": ["pattern", "--n", "60", "--d", "6"],
+    "solve_csv": ["solve", "--n", "60", "--d", "6", "--kappa", "8.0"],
+    "solve_full_state": ["solve", "--n", "60", "--d", "6", "--kappa", "8.0", "--full-state"],
+    "sweep": ["sweep", "--config", "CONFIG"],
+    "histogram": ["histogram", "--config", "CONFIG", "--kappa", "6.0", "--bins", "10"],
+    "dynamics": ["dynamics", "--config", "CONFIG", "--kappa", "8.0"],
+    "spectrum": ["spectrum", "--config", "CONFIG", "--kappa", "8.0"],
+    "gap": ["gap", "--n", "12", "--d", "3", "--trials", "3"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIDECAR_CASES))
+def test_sidecar_provenance(case, tmp_path):
+    config = write_config(tmp_path, n=60, d=6, trials_per_point=2, t_end=5.0, sample_count=6)
+    argv = [config if a == "CONFIG" else a for a in SIDECAR_CASES[case]]
+    out = str(tmp_path / "out")
+    assert main(argv + ["--out", out]) == 0
+    meta = json.loads(open(out + ".meta.json").read())
+    assert isinstance(meta["wall_time_s"], float) and meta["wall_time_s"] >= 0.0
+    assert meta["version"] == __version__
+    if case != "gap":  # gap builds its own config from its flags
+        assert meta["config"]["n"] == 60
 
 
 class TestExitCodes:
