@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -69,6 +70,22 @@ def _load_config(args, **overrides) -> SweepConfig:
     return SweepConfig.from_mapping(mapping)
 
 
+def _finite(obj):
+    """``obj`` with every non-finite float replaced by None."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def _json_text(obj) -> str:
+    """Strict JSON text, indent 2, NaN and infinities as null, newline-terminated."""
+    return json.dumps(_finite(obj), indent=2, allow_nan=False) + "\n"
+
+
 def _write_text(args, text, meta=None):
     """Write ``text`` to ``--out`` (plus the meta.json sidecar) or stdout."""
     if args.out:
@@ -76,16 +93,14 @@ def _write_text(args, text, meta=None):
             f.write(text)
         if meta is not None:
             with open(args.out + ".meta.json", "w") as f:
-                json.dump(meta, f, indent=2)
-                f.write("\n")
+                f.write(_json_text(meta))
     else:
         sys.stdout.write(text)
 
 
 def _write_rows(args, header, rows, meta=None):
     if args.format == "json":
-        payload = [dict(zip(header, row)) for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text([dict(zip(header, row)) for row in rows])
     else:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -111,6 +126,11 @@ def cmd_solve(args) -> int:
         args, n=args.n, d=args.d, model=args.model, beta=args.beta,
         kappa_grid=[args.kappa] if args.kappa is not None else None,
     )
+    if args.kappa is None and len(cfg.kappa_grid) > 1:
+        raise ConfigError(
+            f"solve takes one kappa, but the config grid is {cfg.kappa_grid}; "
+            "pass --kappa"
+        )
     kappa = cfg.kappa_grid[0]
     pattern = build_pattern(cfg, pattern_seed(cfg.master_seed))
     M = assemble(pattern, cfg.alpha(kappa), trial_seed(cfg.master_seed, 0, 0))

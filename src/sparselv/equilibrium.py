@@ -1,9 +1,10 @@
 """Feasibility solves and nonnegative saturated equilibria.
 
 The linear equilibrium x = 1 + Mx is solved by Neumann fixed-point
-iteration (geometric convergence for ||M|| < 1) and decomposed as
-x = 1 + Z/alpha + R/alpha^2, where Z collects the first-order Gaussian
-terms (i.i.d. N(0,1) by construction) and R the higher Neumann orders.
+iteration (geometric convergence exactly when the spectral radius of M
+is below 1) and decomposed as x = 1 + Z/alpha + R/alpha^2, where Z
+collects the first-order Gaussian terms (i.i.d. N(0,1) by construction)
+and R the higher Neumann orders.
 The nonnegative saturated equilibrium of the complementarity system is
 found either by support pivoting or as the long-time ODE limit.
 """
@@ -37,7 +38,7 @@ ODE_EXTINCTION_CUTOFF = 1e-6
 
 
 class DivergenceError(RuntimeError):
-    """Neumann iteration diverged; the spectral norm of M is >= 1."""
+    """Neumann iteration diverged; the spectral radius of M is >= 1."""
 
 
 class EquilibriumError(RuntimeError):
@@ -111,34 +112,34 @@ def solve_feasibility(
     """Neumann iteration x <- 1 + Mx from x = 1 until the sup-norm
     residual ||x - 1 - Mx|| drops below ``tol``.
 
-    Raises :class:`DivergenceError` when the residual grows for 20
-    consecutive iterations (signals ||M|| >= 1).  If ``tol`` is not
-    reached within ``max_iter`` the report is returned with
-    ``converged=False``.
+    Raises :class:`DivergenceError` when the residual is not finite or has
+    not beaten its best value for 20 iterations (signals a spectral radius
+    of M >= 1; a residual that oscillates, as under a complex leading
+    eigenvalue, is caught too).  If ``tol`` is not reached within
+    ``max_iter`` the report is returned with ``converged=False``; ``x`` is
+    always finite.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = M.n
     ones = np.ones(n)
     x = ones.copy()
-    residual = math.inf
-    growth_streak = 0
+    best = math.inf
+    stalled = 0
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
         x_next = ones + M.matvec(x)
-        residual_new = float(np.max(np.abs(x_next - x)))
-        if residual_new > residual:
-            growth_streak += 1
-            if growth_streak >= 20:
-                raise DivergenceError(
-                    f"residual grew for {growth_streak} consecutive iterations "
-                    f"(last {residual_new:.3e}); spectral norm of M is >= 1"
-                )
-        else:
-            growth_streak = 0
+        residual = float(np.max(np.abs(x_next - x)))
+        stalled = 0 if residual < best else stalled + 1
+        best = min(best, residual)
+        if not math.isfinite(residual) or stalled >= 20:
+            raise DivergenceError(
+                f"Neumann residual {residual:.3e} at iteration {iterations} "
+                f"(best {best:.3e}, not beaten for {stalled} iterations); "
+                "spectral radius of M is >= 1"
+            )
         x = x_next
-        residual = residual_new
         if residual <= tol:
             converged = True
             break

@@ -37,7 +37,8 @@ from .patterns import (
     general_regular_pattern,
     proportional_pattern,
 )
-from .interaction import InteractionMatrix, assemble, singular_gap, spectral_norm
+# spectral_norm is unused here; perfbench/tracing.py wraps it by this name.
+from .interaction import InteractionMatrix, assemble, singular_gap, spectral_norm  # noqa: F401
 from .equilibrium import DivergenceError, solve_feasibility
 from .dynamics import TrajectoryRecord, integrate_lv, jacobian_spectrum
 
@@ -215,26 +216,17 @@ def _sweep_trial(task: tuple[int, int]) -> dict:
     kappa_index, trial = task
     alpha = cfg.alpha(cfg.kappa_grid[kappa_index])
     M = _matrix(kappa_index, trial, alpha)
-    # Loose norm estimate: only the >= alpha guard needs to be reliable,
-    # the solver's own divergence detection covers borderline cases.
-    norm_est = spectral_norm(
-        M, unscaled=True, tol=1e-8, max_iter=500, full_spectrum=False
-    ).spectral_norm
-    record = {"spectral_norm": norm_est, "diverged": True, "feasible": False}
-    if norm_est >= alpha:
-        return record
     try:
         report = solve_feasibility(M, tol=cfg.solver_tol)
     except DivergenceError:
-        return record
+        return {"diverged": True, "feasible": False}
     max_r_norm = float(np.max(np.abs(report.R))) / (alpha * math.sqrt(2.0 * math.log(cfg.n)))
-    record.update(
-        diverged=False,
-        feasible=report.feasible,
-        min_x=report.min_x,
-        max_R_normalized=max_r_norm,
-    )
-    return record
+    return {
+        "diverged": False,
+        "feasible": report.feasible,
+        "min_x": report.min_x,
+        "max_R_normalized": max_r_norm,
+    }
 
 
 @dataclass
@@ -251,7 +243,6 @@ class SweepResult:
         "feasible_fraction",
         "mean_min_x",
         "mean_max_R_normalized",
-        "mean_spectral_norm",
     )
 
     def feasible_fractions(self) -> list[tuple[float, float]]:
@@ -261,10 +252,10 @@ class SweepResult:
 def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Feasibility fraction per kappa over seeded trials.
 
-    Trials whose Neumann solve diverges (||M|| >= 1) count in a separate
-    ``diverged`` column and as infeasible; they are never dropped.
-    ``mean_min_x`` and ``mean_max_R_normalized`` average over the solved
-    (non-diverged) trials, ``mean_spectral_norm`` over all trials.
+    Every trial goes to the Neumann solve.  Trials whose iteration
+    diverges (spectral radius of M >= 1) count in a separate ``diverged``
+    column and as infeasible; they are never dropped.  ``mean_min_x`` and
+    ``mean_max_R_normalized`` average over the solved (non-diverged) trials.
     """
     t0 = time.time()
     T = cfg.trials_per_point
@@ -286,7 +277,6 @@ def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
                 "feasible_fraction": feasible_count / T,
                 "mean_min_x": _mean([r["min_x"] for r in solved]),
                 "mean_max_R_normalized": _mean([r["max_R_normalized"] for r in solved]),
-                "mean_spectral_norm": _mean([r["spectral_norm"] for r in recs]),
             }
         )
     return SweepResult(rows=rows, provenance=_provenance(cfg, t0))

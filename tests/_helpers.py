@@ -21,6 +21,14 @@ def off_diagonal_2x2(c, alpha=1.0):
     return forced(pattern, [[c * alpha], [c * alpha]], alpha)
 
 
+def rotation_2x2(r, theta, alpha=1.0):
+    """Realized matrix r * R(theta), R the rotation by theta (full pattern, d = 2)."""
+    c, s = np.cos(theta), np.sin(theta)
+    realized = r * np.array([[c, -s], [s, c]])
+    # scale = 1/(alpha sqrt(2)); weights are the realized values times alpha sqrt(d).
+    return forced(full_pattern(2), realized * alpha * np.sqrt(2.0), alpha)
+
+
 def upper_2x2(c, alpha=1.0):
     """Realized matrix [[0, c], [0, 0]] padded on the swap pattern."""
     pattern = block_permutation_pattern(2, 1, Permutation((1, 0)))

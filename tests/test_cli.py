@@ -65,6 +65,17 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["x"]) == 60
 
+    def test_kappa_grid_needs_kappa_flag(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, n=60, d=6, kappa_grid=[8.0, 0.1])
+        assert main(["solve", "--config", cfg]) == EXIT_INVALID_CONFIG
+        assert "[0.1, 8.0]" in capsys.readouterr().err
+        assert main(["solve", "--config", cfg, "--kappa", "8.0"]) == 0
+
+    def test_oscillating_divergence_exits_numerical_failure(self, capsys):
+        args = ["solve", "--n", "60", "--d", "6", "--kappa", "0.2", "--seed", "3"]
+        assert main(args) == EXIT_NUMERICAL_FAILURE
+        assert capsys.readouterr().out == ""
+
     def test_out_file_with_meta(self, tmp_path):
         out = str(tmp_path / "solve.json")
         assert main(self.ARGS + ["--format", "json", "--out", out]) == 0
@@ -83,7 +94,7 @@ class TestSweep:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == (
             "kappa,alpha,trials,feasible_count,diverged,feasible_fraction,"
-            "mean_min_x,mean_max_R_normalized,mean_spectral_norm"
+            "mean_min_x,mean_max_R_normalized"
         )
         assert len(lines) == 3
 
@@ -96,6 +107,20 @@ class TestSweep:
         meta = json.loads(open(out + ".meta.json").read())
         assert meta["config"]["kappa_grid"] == [8.0]
         assert meta["wall_time_s"] >= 0.0
+
+    def test_all_diverged_json_is_strict(self, tmp_path):
+        cfg = write_config(tmp_path, n=60, d=6, kappa_grid=[0.2], trials_per_point=6,
+                           master_seed=3)
+        out = str(tmp_path / "sweep.json")
+        assert main(["sweep", "--config", cfg, "--format", "json", "--out", out]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        (row,) = json.loads(open(out).read(), parse_constant=reject)
+        assert row["diverged"] == 6
+        assert row["mean_min_x"] is None and row["mean_max_R_normalized"] is None
+        json.loads(open(out + ".meta.json").read(), parse_constant=reject)
 
     def test_seed_flag_sets_master_seed(self, tmp_path):
         cfg = write_config(tmp_path, n=60, d=6, kappa_grid=[8.0], trials_per_point=2)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from sparselv import (
@@ -17,7 +18,9 @@ from sparselv import (
     saturated_equilibrium,
     solve_feasibility,
 )
-from _helpers import forced, off_diagonal_2x2, ones_full, upper_2x2, zero_matrix
+from _helpers import (
+    forced, off_diagonal_2x2, ones_full, rotation_2x2, upper_2x2, zero_matrix,
+)
 
 
 class TestSolveFeasibility:
@@ -52,6 +55,32 @@ class TestSolveFeasibility:
     def test_divergence_detected(self):
         with pytest.raises(DivergenceError):
             solve_feasibility(off_diagonal_2x2(1.5))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(1.05, 3.0), st.floats(-math.pi, math.pi), st.floats(0.5, 5.0))
+    def test_rotation_divergence_detected(self, r, theta, alpha):
+        # The leading eigenvalues r e^{+-i theta} are complex for theta != 0, pi,
+        # so the residual oscillates instead of growing every step.
+        with pytest.raises(DivergenceError):
+            solve_feasibility(rotation_2x2(r, theta, alpha), max_iter=100)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(0.1, 0.95), st.floats(-math.pi, math.pi), st.floats(0.5, 5.0))
+    def test_rotation_convergence_not_flagged(self, r, theta, alpha):
+        M = rotation_2x2(r, theta, alpha)
+        tol = 1e-12
+        rep = solve_feasibility(M, tol=tol)
+        assert rep.converged
+        # One more step can grow the sup-norm residual by at most ||M||_inf < 2.
+        assert rep.residual_inf <= 2 * tol
+        # |x - x*| <= ||(I - M)^-1||_2 * 2-norm of the residual <= 20 * 2 sqrt(2) tol.
+        exact = np.linalg.solve(np.eye(2) - M.dense(), np.ones(2))
+        np.testing.assert_allclose(rep.x, exact, rtol=0, atol=1e-10)
+
+    def test_oscillating_divergence_returns_no_report(self):
+        # 1.06 R(1.4): the old growth-streak rule ran into x ~ 1e255.
+        with pytest.raises(DivergenceError):
+            solve_feasibility(rotation_2x2(1.06, 1.4))
 
     def test_partial_report_flagged(self):
         rep = solve_feasibility(off_diagonal_2x2(0.999), tol=1e-14, max_iter=30)

@@ -13,6 +13,7 @@ from sparselv import (
     singular_gap,
     spectral_norm,
 )
+from sparselv.interaction import DENSE_SPECTRUM_LIMIT
 from _helpers import forced, ones_full, zero_matrix
 
 
@@ -126,9 +127,19 @@ class TestSpectralNorm:
             "spectral_norm",
             "min_gap",
             "norm_bound_holds",
-            "iterations",
-            "tolerance_achieved",
         }
+
+    def test_sparse_branch_matches_dense_svd(self):
+        p = general_regular_pattern(600, 7, rng_seed=2)
+        M = assemble(p, alpha=1.5, seed=11)
+        assert M.n > DENSE_SPECTRUM_LIMIT  # so this goes through svds
+        for unscaled in (True, False):
+            rep = spectral_norm(M, unscaled=unscaled)
+            exact = np.linalg.svd(M.dense(unscaled=unscaled), compute_uv=False)[0]
+            assert rep.spectral_norm == pytest.approx(exact, rel=1e-8)
+            assert rep.singular_values is None and math.isnan(rep.min_gap)
+            assert spectral_norm(M, unscaled=unscaled).spectral_norm == rep.spectral_norm
+        assert spectral_norm(zero_matrix(600)).spectral_norm == 0.0
 
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
