@@ -123,12 +123,15 @@ class SpectralReport:
     singular_values: np.ndarray | None = None
 
     def to_json(self) -> str:
+        """Strict JSON; a non-finite ``min_gap`` (NaN above the dense limit,
+        inf at n = 1) is written as null."""
         return json.dumps(
             {
                 "spectral_norm": self.spectral_norm,
-                "min_gap": self.min_gap,
+                "min_gap": self.min_gap if math.isfinite(self.min_gap) else None,
                 "norm_bound_holds": self.norm_bound_holds,
-            }
+            },
+            allow_nan=False,
         )
 
 

@@ -1,11 +1,13 @@
-"""Deterministic d-regular adjacency patterns.
+"""Seeded d-regular adjacency patterns.
 
 A pattern is the 0/1 sparsity mask of the interaction matrix: a directed
 d-regular graph on n vertices, stored as the sorted column indices of the
 d nonzero positions in each row.  Three constructions are provided: the
 block-permutation pattern (a permutation of m dense d x d blocks), a
-general d-regular pattern built by superposing d random permutations, and
-the full pattern (d = n).
+random general d-regular pattern (d superposed random permutations whose
+clashes are removed by switching entries within a permutation; the
+complement of an (n - d)-regular one for d > n/2), and the full pattern
+(d = n).  Every construction is deterministic given its seed.
 """
 
 from __future__ import annotations
@@ -103,10 +105,6 @@ class AdjacencyPattern:
         out[rows, self.row_cols.ravel()] = 1
         return out
 
-    def positions(self) -> set[tuple[int, int]]:
-        rows = np.repeat(np.arange(self.n), self.d)
-        return set(zip(rows.tolist(), self.row_cols.ravel().tolist()))
-
     def __eq__(self, other):
         if not isinstance(other, AdjacencyPattern):
             return NotImplemented
@@ -154,61 +152,89 @@ def full_pattern(n: int) -> AdjacencyPattern:
     return AdjacencyPattern(n=n, d=n, model=PatternModel.FULL, row_cols=row_cols)
 
 
-def _cyclic_pattern(n: int, d: int) -> np.ndarray:
-    # Systematic fallback: row i points at i, i+1, ..., i+d-1 (mod n).
-    shifts = np.arange(d, dtype=np.int64)
-    row_cols = (np.arange(n, dtype=np.int64)[:, None] + shifts[None, :]) % n
-    row_cols.sort(axis=1)
-    return row_cols
+# Above this n the n x n occurrence counts (n^2 bytes) are not kept and
+# membership is tested by comparing against the row instead.
+_COUNT_LIMIT = 4096
 
 
-def general_regular_pattern(
-    n: int, d: int, rng_seed: int, max_resamples: int = 200
-) -> AdjacencyPattern:
-    """d-regular pattern from the superposition of d random permutations.
+def _permutation_layers(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n x d array whose columns are random permutations of range(n) and
+    whose rows hold d distinct entries; needs d <= n / 2.
 
-    Permutations are resampled until their supports are pairwise disjoint,
-    so the union has exactly n*d distinct positions and is d-regular by
-    construction.  Deterministic given (n, d, rng_seed).  If the resample
-    budget runs out (d close to n makes disjoint draws unlikely) the
-    pattern falls back to cyclic shifts, recorded in ``meta``.
+    The d permutation layers are drawn independently.  Every repeated entry
+    of a row is then switched away: for a repeat at (i, k) and a random
+    partner row j, entries (i, k) and (j, k) swap when the value each row
+    receives is absent from it.  A swap stays inside layer k, so each layer
+    remains a permutation; it removes a repeat and never creates one.  Rows
+    are paired by a fresh random perfect matching each round, so the swaps
+    of a round touch disjoint rows and are applied together.  With
+    d <= n / 2 every repeat has at least n - 2d + 3 valid partners, so the
+    loop ends with probability one.
+    """
+    cols = np.ascontiguousarray(rng.permuted(np.tile(np.arange(n), (d, 1)), axis=1).T)
+    keys = np.sort(cols * d + np.arange(d), axis=1)  # value * d + layer
+    vals = keys // d
+    repeat = vals[:, 1:] == vals[:, :-1]
+    rows = np.nonzero(repeat)[0]
+    # Per-row stacks of repeated layers: row i's are stack[i, :top[i]].
+    top = np.bincount(rows, minlength=n)
+    stack = np.zeros((n, top.max()), dtype=np.int64)
+    stack[rows, np.arange(rows.size) - (np.cumsum(top) - top)[rows]] = keys[:, 1:][repeat] % d
+    if n <= _COUNT_LIMIT:
+        counts = np.zeros((n, n), dtype=np.min_scalar_type(d))
+        counts[np.arange(n)[:, None], cols] = 1
+        np.add.at(counts, (rows, vals[:, 1:][repeat]), 1)
+        count = lambda r, v: counts[r, v]  # noqa: E731
+    else:
+        counts = None
+        count = lambda r, v: (cols[r] == v[:, None]).sum(axis=1)  # noqa: E731
+    while top.any():
+        pairs = rng.permutation(n)
+        a, b = pairs[0 : n - 1 : 2], pairs[1::2]
+        flip = top[a] == 0
+        i, j = np.where(flip, b, a), np.where(flip, a, b)
+        keep = top[i] > 0
+        i, j = i[keep], j[keep]
+        k = stack[i, top[i] - 1]
+        c, v = cols[i, k], cols[j, k]
+        # A stacked layer whose value is no longer repeated (its twin was
+        # switched away as someone's partner) is dropped unswapped.
+        stale = count(i, c) < 2
+        ok = ~stale & (count(i, v) == 0) & (count(j, c) == 0)
+        top[i[stale | ok]] -= 1
+        i, j, k, c, v = i[ok], j[ok], k[ok], c[ok], v[ok]
+        cols[i, k], cols[j, k] = v, c
+        if counts is not None:  # the four (row, value) pairs are distinct
+            counts[np.r_[i, j], np.r_[c, v]] -= 1
+            counts[np.r_[i, j], np.r_[v, c]] += 1
+    return cols
+
+
+def general_regular_pattern(n: int, d: int, rng_seed: int) -> AdjacencyPattern:
+    """Random d-regular pattern: d permutation layers repaired by switching.
+
+    For d <= n / 2 the rows of :func:`_permutation_layers` are the pattern;
+    each layer is a permutation and no row repeats a column, so it is exactly
+    d-regular.  For d > n / 2 it is the complement of an (n - d)-regular
+    pattern built the same way.  Deterministic given (n, d, rng_seed).  The
+    result is random but not exactly uniform over d-regular patterns.
     """
     if not (1 <= d <= n):
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={n}")
     rng = np.random.default_rng(rng_seed)
-    cols = np.full((n, d), -1, dtype=np.int64)
-    used = np.zeros((n, n), dtype=bool) if n <= 4096 else None
-    fallback = False
-    for k in range(d):
-        placed = False
-        for _ in range(max_resamples):
-            p = rng.permutation(n)
-            if used is not None:
-                clash = used[np.arange(n), p].any()
-            else:
-                clash = any(p[i] in cols[i, :k] for i in range(n))
-            if not clash:
-                cols[:, k] = p
-                if used is not None:
-                    used[np.arange(n), p] = True
-                placed = True
-                break
-        if not placed:
-            fallback = True
-            break
-    if fallback:
-        row_cols = _cyclic_pattern(n, d)
-        meta = {"method": "cyclic_fallback"}
+    if 2 * d <= n:
+        row_cols = np.sort(_permutation_layers(n, d, rng), axis=1)
     else:
-        row_cols = np.sort(cols, axis=1)
-        meta = {"method": "permutation_superposition"}
+        mask = np.ones((n, n), dtype=bool)
+        mask[np.arange(n)[:, None], _permutation_layers(n, n - d, rng)] = False
+        row_cols = np.nonzero(mask)[1].reshape(n, d)
     return AdjacencyPattern(
         n=n,
         d=d,
         model=PatternModel.GENERAL_REGULAR,
         row_cols=row_cols,
         seed=rng_seed,
-        meta=meta,
+        meta={"method": "permutation_switching"},
     )
 
 
@@ -231,12 +257,13 @@ def proportional_pattern(n: int, beta: float, rng_seed: int) -> AdjacencyPattern
 
 def validate_regularity(p: AdjacencyPattern) -> RegularityReport:
     """Count nonzeros per row and column; pure check, never raises."""
-    rc = p.row_cols
-    row_ok = all(len(set(rc[i].tolist())) == p.d for i in range(p.n))
+    rc = np.sort(p.row_cols, axis=1)
+    repeats = int((rc[:, 1:] == rc[:, :-1]).sum())
     col_counts = np.bincount(rc.ravel(), minlength=p.n)
     col_ok = bool((col_counts == p.d).all())
-    nnz = int(len(set(zip(np.repeat(np.arange(p.n), p.d).tolist(), rc.ravel().tolist()))))
-    return RegularityReport(row_degrees_ok=row_ok, col_degrees_ok=col_ok, nnz=nnz)
+    return RegularityReport(
+        row_degrees_ok=repeats == 0, col_degrees_ok=col_ok, nnz=p.n * p.d - repeats
+    )
 
 
 def pattern_text(p: AdjacencyPattern) -> str:

@@ -141,6 +141,15 @@ class TestSpectralNorm:
             assert spectral_norm(M, unscaled=unscaled).spectral_norm == rep.spectral_norm
         assert spectral_norm(zero_matrix(600)).spectral_norm == 0.0
 
+    def test_json_strict_above_dense_limit(self):
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        rep = spectral_norm(assemble(general_regular_pattern(600, 7, rng_seed=2), 1.0, seed=3))
+        payload = json.loads(rep.to_json(), parse_constant=reject)
+        assert payload["min_gap"] is None
+        assert payload["spectral_norm"] == rep.spectral_norm
+
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
             spectral_norm(zero_matrix(2), tol=0.0)

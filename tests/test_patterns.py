@@ -12,7 +12,14 @@ from sparselv import (
     proportional_pattern,
     validate_regularity,
 )
-from sparselv.patterns import load_pattern, save_pattern
+from sparselv.patterns import RegularityReport, load_pattern, save_pattern
+
+
+def is_circulant(row_cols):
+    """True iff every row i is row 0 shifted by i (mod n)."""
+    n = len(row_cols)
+    shifted = np.sort((row_cols[0] + np.arange(n)[:, None]) % n, axis=1)
+    return np.array_equal(shifted, row_cols)
 
 
 def kron_oracle(m, d, sigma):
@@ -98,25 +105,34 @@ class TestGeneralRegular:
         c = general_regular_pattern(60, 5, rng_seed=10)
         assert a != c
 
-    def test_fallback_to_cyclic_shifts(self):
-        p = general_regular_pattern(8, 3, rng_seed=0, max_resamples=0)
-        assert p.meta["method"] == "cyclic_fallback"
-        rep = validate_regularity(p)
-        assert rep.row_degrees_ok and rep.col_degrees_ok and rep.nnz == 24
-        assert (0, 0) in p.positions() and (0, 2) in p.positions()
+    @pytest.mark.parametrize("d", [8, 16])
+    def test_not_circulant_at_sweep_size(self, d):
+        for seed in range(5):
+            p = general_regular_pattern(2000, d, rng_seed=seed)
+            assert p.meta["method"] == "permutation_switching"
+            assert not is_circulant(p.row_cols)
 
     def test_bad_degree(self):
         with pytest.raises(ValueError):
             general_regular_pattern(5, 6, rng_seed=0)
 
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(2, 40), st.data())
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 60), st.data())
     def test_always_regular(self, n, data):
         d = data.draw(st.integers(1, n))
         seed = data.draw(st.integers(0, 10_000))
         p = general_regular_pattern(n, d, seed)
-        rep = validate_regularity(p)
-        assert rep.row_degrees_ok and rep.col_degrees_ok and rep.nnz == n * d
+        count = np.zeros((n, n), dtype=np.int64)
+        for i in range(n):
+            for c in p.row_cols[i]:
+                count[i, c] += 1
+        assert count.max() == 1
+        assert (count.sum(axis=0) == d).all() and (count.sum(axis=1) == d).all()
+        assert (np.diff(p.row_cols, axis=1) > 0).all()
+        assert validate_regularity(p) == RegularityReport(True, True, n * d)
+        assert general_regular_pattern(n, d, seed) == p
+        if n >= 16 and d < n:
+            assert not is_circulant(p.row_cols)
 
 
 def test_proportional_model():
@@ -135,6 +151,21 @@ class TestValidateRegularity:
     def test_full_n3(self):
         rep = validate_regularity(full_pattern(3))
         assert rep.row_degrees_ok and rep.col_degrees_ok and rep.nnz == 9
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 10), st.data())
+    def test_matches_loop_reference(self, n, data):
+        d = data.draw(st.integers(1, n))
+        entry = st.integers(0, n - 1)
+        rc = data.draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=n, max_size=n))
+        p = AdjacencyPattern(n=n, d=d, model=PatternModel.GENERAL_REGULAR, row_cols=rc)
+        flat = [c for row in rc for c in row]
+        expected = RegularityReport(
+            row_degrees_ok=all(len(set(row)) == d for row in rc),
+            col_degrees_ok=all(flat.count(c) == d for c in range(n)),
+            nnz=sum(len(set(row)) for row in rc),
+        )
+        assert validate_regularity(p) == expected
 
     def test_deleted_entry_detected(self):
         p = full_pattern(3)
