@@ -48,8 +48,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads", type=int, default=1,
         help="worker processes for sweep and histogram; spectrum runs in-process "
-        "on purpose, since its BLAS eigensolve already uses every core (a "
-        "2-process pool measured 1.3-1.9x slower on 2 cores)",
+        "on purpose, since forked workers keep every BLAS thread and "
+        "oversubscribe the cores (a 2-process pool measured an n=1000 "
+        "eigensolve 2.6-10.7x slower on 2 cores)",
     )
     parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -446,13 +446,13 @@ class SpectrumSweepResult:
 
 
 def _spectrum_trial(trial: int) -> dict | None:
-    """Jacobian spectrum row at a feasible equilibrium; None otherwise."""
+    """Jacobian spectrum row at a converged feasible equilibrium; else None."""
     M = _matrix(0, trial, _CTX["alpha"])
     try:
         report = solve_feasibility(M, tol=_CTX["cfg"].solver_tol)
     except DivergenceError:
         return None
-    if not report.feasible:
+    if not (report.converged and report.feasible):
         return None
     spec = jacobian_spectrum(M, report.x)
     return {
@@ -464,13 +464,18 @@ def _spectrum_trial(trial: int) -> dict | None:
 
 
 def run_spectrum_check(cfg: SweepConfig, kappa: float, workers: int = 1) -> SpectrumSweepResult:
-    """Per-trial Jacobian spectra at the feasible equilibrium.  Infeasible
-    or diverged trials are skipped and counted.
+    """Per-trial Jacobian spectra at the feasible equilibrium.  Trials whose
+    Neumann solve diverged, stopped at ``max_iter`` without converging, or
+    ended infeasible are skipped and counted in ``skipped``: the Jacobian
+    is only meaningful at a converged equilibrium.
 
-    Trials run in-process whatever ``workers`` says: the dense eigensolve
-    already uses every core through the BLAS.  On 2 cores with OpenBLAS on
-    2 threads, 3 trials at n=1000, d=8 took 1.9-2.5 s in-process and
-    2.9-4.0 s in a 2-process pool (chunksize 1).
+    Trials run in-process whatever ``workers`` says.  The eigensolve gains
+    little from a second BLAS thread, but a forked worker keeps the
+    parent's BLAS threads, so a pool oversubscribes the cores; pinning each
+    worker to one BLAS thread would need threadpoolctl or an equivalent,
+    which the package does not use.  On 2 cores with OpenBLAS 0.3.31, a
+    dense n=1000 eigensolve took 1.0-1.2 s on 2 BLAS threads, 1.0 s on 1,
+    and 2.6-10.7 s in a 2-process pool.
     """
     t0 = time.time()
     alpha = cfg.alpha(kappa)

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sparselv import (
+    AdjacencyPattern,
     IntegrationError,
+    PatternModel,
+    Permutation,
     assemble,
+    block_permutation_pattern,
     convergence_rate,
     general_regular_pattern,
     integrate_lv,
@@ -14,7 +19,7 @@ from sparselv import (
     solve_feasibility,
     stability_certificate,
 )
-from _helpers import off_diagonal_2x2, zero_matrix
+from _helpers import forced, off_diagonal_2x2, upper_2x2, zero_matrix
 
 
 class TestLvField:
@@ -130,6 +135,102 @@ class TestJacobianSpectrum:
             jacobian_spectrum(M, np.array([1.0, -1.0, 1.0]))
         with pytest.raises(ValueError):
             jacobian_spectrum(M, np.ones(3), dense_limit=2)
+
+
+def _dense_oracle(M, x):
+    return np.linalg.eigvals(np.diag(x) @ (-np.eye(M.n) + M.dense()))
+
+
+def _cycle_count(sigma):
+    seen, cycles = set(), 0
+    for start in range(sigma.m):
+        if start not in seen:
+            cycles += 1
+            i = start
+            while i not in seen:
+                seen.add(i)
+                i = sigma(i)
+    return cycles
+
+
+def _scc_count(pattern):
+    """Strongly connected components by brute force: the distinct rows of
+    the mutual-reachability relation."""
+    reach = pattern.dense().astype(bool) | np.eye(pattern.n, dtype=bool)
+    while True:
+        step = reach | ((reach.astype(np.int64) @ reach.astype(np.int64)) > 0)
+        if (step == reach).all():
+            break
+        reach = step
+    return len({row.tobytes() for row in reach & reach.T})
+
+
+def _block_triangular():
+    """Two 3-cycles on rows 0-2 and 3-5, with edges only from the first
+    into the second: two strongly connected components."""
+    row_cols = [[(i + 1) % 3, 3 + i] for i in range(3)]
+    row_cols += [[3 + (i + 1) % 3, 3 + (i + 2) % 3] for i in range(3)]
+    pattern = AdjacencyPattern(
+        n=6, d=2, model=PatternModel.GENERAL_REGULAR, row_cols=np.sort(row_cols, axis=1)
+    )
+    weights = np.random.default_rng(3).standard_normal((6, 2))
+    return forced(pattern, weights, alpha=1.5)
+
+
+class TestJacobianSplit:
+    """The split spectrum against one dense eigensolve of the whole Jacobian."""
+
+    @staticmethod
+    def check(M, x):
+        rep = jacobian_spectrum(M, x)
+        np.testing.assert_allclose(
+            np.sort_complex(rep.eigenvalues), np.sort_complex(_dense_oracle(M, x)),
+            rtol=0, atol=1e-10,
+        )
+        ev = rep.eigenvalues
+        broadcast = float(np.max(np.min(np.abs(ev[:, None] + x[None, :]), axis=1)))
+        assert abs(rep.localization_error - broadcast) <= 4 * np.spacing(broadcast)
+        assert rep.max_real_part == float(ev.real.max())
+        return rep
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 5), st.booleans(), st.integers(0, 10_000))
+    def test_block_permutation(self, m, d, identity, seed):
+        rng = np.random.default_rng(seed)
+        sigma = Permutation.identity(m) if identity else Permutation.random(m, rng)
+        M = assemble(block_permutation_pattern(m, d, sigma), alpha=2.0, seed=seed)
+        rep = self.check(M, rng.uniform(0.5, 2.0, m * d))
+        assert rep.components == _cycle_count(sigma)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 30), st.data())
+    def test_general_regular(self, n, data):
+        d = data.draw(st.integers(1, n))
+        seed = data.draw(st.integers(0, 10_000))
+        p = general_regular_pattern(n, d, rng_seed=seed)
+        rep = self.check(assemble(p, alpha=2.0, seed=seed),
+                         np.random.default_rng(seed).uniform(0.5, 2.0, n))
+        assert rep.components == _scc_count(p)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_general_regular_is_one_block(self, seed):
+        M = assemble(general_regular_pattern(300, 4, rng_seed=seed), alpha=3.0, seed=seed)
+        assert jacobian_spectrum(M, np.ones(300)).components == 1
+
+    def test_reducible_by_weights(self):
+        # structurally one cycle; the zero weight makes it triangular
+        rep = self.check(upper_2x2(0.7), np.array([1.3, 0.4]))
+        assert rep.components == 1
+
+    def test_block_triangular_pattern(self):
+        rep = self.check(_block_triangular(), np.linspace(0.5, 1.5, 6))
+        assert rep.components == 2
+
+    def test_identity_sigma_one_block_per_row_block(self):
+        sigma = Permutation.identity(5)
+        M = assemble(block_permutation_pattern(5, 3, sigma), alpha=2.0, seed=1)
+        rep = self.check(M, np.ones(15))
+        assert rep.components == 5 and len(rep.eigenvalues) == 15
 
 
 class TestStabilityCertificate:

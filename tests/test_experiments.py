@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sparselv import ConfigError, PatternModel, SweepConfig
+from sparselv import ConfigError, PatternModel, SweepConfig, experiments
 from sparselv.experiments import (
     build_pattern,
     pattern_seed,
@@ -185,6 +185,22 @@ class TestSpectrumCheck:
         for row in result.rows:
             assert row["max_real_part"] < 0.0
         assert result.mean_max_real_part < 0.0
+
+    def test_unconverged_solve_skipped(self, monkeypatch):
+        solve = experiments.solve_feasibility
+        reports = []
+
+        def capped(M, **kwargs):
+            reports.append(solve(M, max_iter=2, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(experiments, "solve_feasibility", capped)
+        cfg = SweepConfig(n=60, d=6, trials_per_point=4, master_seed=6)
+        result = run_spectrum_check(cfg, kappa=8.0)
+        assert len(reports) == 4
+        assert not any(r.converged for r in reports)
+        assert any(r.feasible for r in reports)  # would have been kept
+        assert result.rows == [] and result.skipped == 4
 
 
 def test_singular_gap_trials():
