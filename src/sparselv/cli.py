@@ -2,8 +2,9 @@
 
 Subcommands: pattern, solve, sweep, histogram, dynamics, spectrum, gap.
 Outputs are plot-ready CSV or JSON; file outputs get a meta.json sidecar
-with the run's provenance: config echo, version and wall time.  Exit
-codes: 0 success, 2 invalid config, 3 numerical failure.
+with the run's provenance: config echo, workers, BLAS threads, version
+and wall time.  Exit codes: 0 success, 2 invalid config, 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .experiments import (
     ConfigError,
     SweepConfig,
     _provenance,
+    one_blas_thread,
     build_pattern,
     pattern_seed,
     run_abundance_histogram,
@@ -47,10 +49,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument(
         "--threads", type=int, default=1,
-        help="worker processes for sweep and histogram; spectrum runs in-process "
-        "on purpose, since forked workers keep every BLAS thread and "
-        "oversubscribe the cores (a 2-process pool measured an n=1000 "
-        "eigensolve 2.6-10.7x slower on 2 cores)",
+        help="worker processes for sweep, histogram and spectrum; their "
+        "trials run on one BLAS thread each",
     )
     parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -198,11 +198,13 @@ def cmd_spectrum(args) -> int:
 
 def cmd_gap(args) -> int:
     t0 = time.time()
-    gaps = run_singular_gap_trials(
-        args.n, args.d, args.trials, args.seed, model=args.model
-    )
+    with one_blas_thread() as threads:  # the counts the trials ran on
+        gaps = run_singular_gap_trials(
+            args.n, args.d, args.trials, args.seed, model=args.model
+        )
     meta = _provenance(
-        None, t0, n=args.n, d=args.d, trials=args.trials, seed=args.seed,
+        None, t0, {"workers": 1, "blas_threads": threads},
+        n=args.n, d=args.d, trials=args.trials, seed=args.seed,
         min_over_trials=min(gaps),
     )
     _write_rows(args, ["trial", "min_gap"], list(enumerate(gaps)), meta)

@@ -11,7 +11,6 @@ block-permutation pattern, one cycle of sigma at a time).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,13 +167,7 @@ class SpectrumReport:
     eigenvalues: np.ndarray  # complex, length n, grouped by component
     max_real_part: float
     localization_error: float
-    stability_margin_bound: float
     components: int  # diagonal blocks solved (strongly connected components)
-
-    def eigenvalue_rows(self):
-        header = ["re", "im"]
-        rows = [(float(ev.real), float(ev.imag)) for ev in self.eigenvalues]
-        return header, rows
 
 
 def jacobian_spectrum(
@@ -191,8 +184,7 @@ def jacobian_spectrum(
     with d >= 2 is almost always one block.
 
     ``localization_error`` is max over eigenvalues of min_k |lambda + x_k|:
-    how far the spectrum strays from -diag(x).  The reported stability
-    margin bound is -(1 - alpha_star/alpha) at this n.
+    how far the spectrum strays from -diag(x).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (M.n,):
@@ -212,12 +204,10 @@ def jacobian_spectrum(
         block[np.diag_indices(b - a)] -= 1.0
         parts.append(np.linalg.eigvals(xs[a:b, None] * block))
     eigenvalues = np.concatenate(parts)
-    alpha_star = math.sqrt(2.0 * math.log(M.n)) if M.n >= 2 else 0.0
     return SpectrumReport(
         eigenvalues=eigenvalues,
         max_real_part=float(eigenvalues.real.max()),
         localization_error=_localization_error(eigenvalues, x),
-        stability_margin_bound=-(1.0 - alpha_star / M.alpha),
         components=int(count),
     )
 

@@ -9,21 +9,34 @@ across 1 and W workers.
 Every driver runs its trials through one engine,
 ``run_trials(cfg, tasks, trial_fn, workers=1, **extra)``.  It calls the
 module-level ``trial_fn(task)`` once per task, in-process when
-``workers <= 1`` and otherwise in a process pool (chunksize 8), and returns
-the results in task order.  Before the first trial each worker stores
+``workers <= 1`` and otherwise in a process pool, and returns the results
+in task order.  Tasks go to the pool in chunks of up to 8, small enough
+that every worker gets some.  Before the first trial each worker stores
 ``cfg`` and the ``extra`` keywords in its context ``_CTX`` and, when
 ``cfg.fix_pattern`` is set, builds the fixed pattern once.  Inside a trial,
 ``_matrix(kappa_index, trial, alpha)`` assembles the seeded interaction
 matrix on that cached pattern, or on the trial's own pattern otherwise.
+
+``run_trials`` pins the bundled OpenBLAS libraries to one thread for its
+whole body (see ``one_blas_thread``), so every trial, and every eigensolve
+in it, runs on one BLAS thread whatever the worker count.  The pin is set
+in the calling process before the pool forks, and the workers inherit it;
+that holds under the ``fork`` start method, the Linux default through
+Python 3.13.
+
 Each driver's ``provenance`` comes from ``_provenance``: config echo,
-driver-specific keys, package version and wall time.
+driver-specific keys, worker count, BLAS threads per library, package
+version and wall time.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
@@ -58,6 +71,8 @@ __all__ = [
     "pattern_seed",
     "build_pattern",
     "run_trials",
+    "blas_threads",
+    "one_blas_thread",
     "MODELS",
 ]
 
@@ -184,22 +199,86 @@ def _matrix(kappa_index: int, trial: int, alpha: float) -> InteractionMatrix:
     return assemble(pattern, alpha, trial_seed(cfg.master_seed, kappa_index, trial))
 
 
-def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1, **extra) -> list:
+def _openblas() -> dict[str, tuple]:
+    """``{library file name: (get, set)}`` thread-count functions of every
+    OpenBLAS mapped into this process, found in ``/proc/self/maps``; empty
+    where there is no such file or no OpenBLAS."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = {line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line}
+    except OSError:
+        return {}
+    found = {}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for stem in ("scipy_openblas", "openblas"):
+            for suffix in ("64_", ""):
+                get = getattr(lib, f"{stem}_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{stem}_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.restype = ctypes.c_int
+                    set_.argtypes = (ctypes.c_int,)
+                    found.setdefault(os.path.basename(path), (get, set_))
+    return found
+
+
+def blas_threads() -> dict[str, int]:
+    """Threads per loaded OpenBLAS library, by file name."""
+    return {name: get() for name, (get, _) in _openblas().items()}
+
+
+@contextmanager
+def one_blas_thread():
+    """Pin every loaded OpenBLAS to one thread; yields the counts read
+    inside the pin and restores the caller's counts on exit, also when the
+    body raises.  Does nothing where no OpenBLAS is loaded."""
+    libs = _openblas()
+    saved = [get() for get, _ in libs.values()]
+    for _, set_ in libs.values():
+        set_(1)
+    try:
+        yield {name: get() for name, (get, _) in libs.items()}
+    finally:
+        for (_, set_), count in zip(libs.values(), saved):
+            set_(count)
+
+
+def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1, **extra):
     """``[trial_fn(task) for task in tasks]``, in-process or in a pool of
-    ``workers`` processes; see the module docstring."""
-    if workers <= 1:
-        _init(cfg, extra)
-        return [trial_fn(t) for t in tasks]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init, initargs=(cfg, extra)
-    ) as pool:
-        return list(pool.map(trial_fn, tasks, chunksize=8))
+    ``workers`` processes, on one BLAS thread; see the module docstring.
+    Returns the results and ``{"workers", "blas_threads"}`` for the
+    provenance."""
+    workers = max(1, workers)
+    with one_blas_thread() as threads:
+        if workers == 1:
+            _init(cfg, extra)
+            results = [trial_fn(t) for t in tasks]
+        else:
+            chunk = max(1, min(8, len(tasks) // (2 * workers)))
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_init, initargs=(cfg, extra)
+            ) as pool:
+                results = list(pool.map(trial_fn, tasks, chunksize=chunk))
+    return results, {"workers": workers, "blas_threads": threads}
 
 
-def _provenance(cfg: SweepConfig | None, t0: float, **extra) -> dict:
-    """Sidecar record of a run that started at ``time.time() == t0``."""
+def _provenance(cfg: SweepConfig | None, t0: float, env: dict | None = None, **extra) -> dict:
+    """Sidecar record of a run that started at ``time.time() == t0``.
+    ``env`` is the worker count and BLAS threads that ``run_trials``
+    returned; by default one process and the counts read now."""
     config = {} if cfg is None else {"config": cfg.echo()}
-    return {**config, **extra, "version": __version__, "wall_time_s": time.time() - t0}
+    env = env or {"workers": 1, "blas_threads": blas_threads()}
+    return {**config, **extra, **env, "version": __version__, "wall_time_s": time.time() - t0}
+
+
+def _solve(M: InteractionMatrix, tol: float):
+    """Neumann report of M, or None when the iteration diverged or stopped
+    at ``max_iter`` without converging."""
+    try:
+        report = solve_feasibility(M, tol=tol)
+    except DivergenceError:
+        return None
+    return report if report.converged else None
 
 
 def _mean(values: list) -> float:
@@ -215,10 +294,8 @@ def _sweep_trial(task: tuple[int, int]) -> dict:
     cfg: SweepConfig = _CTX["cfg"]
     kappa_index, trial = task
     alpha = cfg.alpha(cfg.kappa_grid[kappa_index])
-    M = _matrix(kappa_index, trial, alpha)
-    try:
-        report = solve_feasibility(M, tol=cfg.solver_tol)
-    except DivergenceError:
+    report = _solve(_matrix(kappa_index, trial, alpha), cfg.solver_tol)
+    if report is None:
         return {"diverged": True, "feasible": False}
     max_r_norm = float(np.max(np.abs(report.R))) / (alpha * math.sqrt(2.0 * math.log(cfg.n)))
     return {
@@ -253,14 +330,15 @@ def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Feasibility fraction per kappa over seeded trials.
 
     Every trial goes to the Neumann solve.  Trials whose iteration
-    diverges (spectral radius of M >= 1) count in a separate ``diverged``
-    column and as infeasible; they are never dropped.  ``mean_min_x`` and
-    ``mean_max_R_normalized`` average over the solved (non-diverged) trials.
+    diverges (spectral radius of M >= 1) or stops at ``max_iter`` without
+    converging count in a separate ``diverged`` column and as infeasible;
+    they are never dropped.  ``mean_min_x`` and ``mean_max_R_normalized``
+    average over the solved trials.
     """
     t0 = time.time()
     T = cfg.trials_per_point
     tasks = [(ki, t) for ki in range(len(cfg.kappa_grid)) for t in range(T)]
-    results = run_trials(cfg, tasks, _sweep_trial, workers)
+    results, env = run_trials(cfg, tasks, _sweep_trial, workers)
 
     rows = []
     for ki, kappa in enumerate(cfg.kappa_grid):
@@ -279,7 +357,7 @@ def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
                 "mean_max_R_normalized": _mean([r["max_R_normalized"] for r in solved]),
             }
         )
-    return SweepResult(rows=rows, provenance=_provenance(cfg, t0))
+    return SweepResult(rows=rows, provenance=_provenance(cfg, t0, env))
 
 
 # ---------------------------------------------------------------------------
@@ -288,12 +366,12 @@ def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 
 
 def _hist_trial(trial: int) -> dict | None:
-    """Histogram counts and moments of one equilibrium; None if diverged."""
-    M = _matrix(0, trial, _CTX["alpha"])
-    try:
-        x = solve_feasibility(M, tol=_CTX["cfg"].solver_tol).x
-    except DivergenceError:
+    """Histogram counts and moments of one equilibrium; None if the solve
+    diverged or did not converge."""
+    report = _solve(_matrix(0, trial, _CTX["alpha"]), _CTX["cfg"].solver_tol)
+    if report is None:
         return None
+    x = report.x
     counts, _ = np.histogram(x, bins=_CTX["edges"])
     return {
         "counts": counts,
@@ -347,7 +425,7 @@ def run_abundance_histogram(
     span = 8.0 / alpha
     edges = np.linspace(1.0 - span, 1.0 + span, bins + 1)
     tasks = range(cfg.trials_per_point)
-    results = run_trials(cfg, tasks, _hist_trial, workers, alpha=alpha, edges=edges)
+    results, env = run_trials(cfg, tasks, _hist_trial, workers, alpha=alpha, edges=edges)
 
     # Sums run in trial order, as the byte-identity across worker counts needs.
     solved = [rec for rec in results if rec is not None]
@@ -365,7 +443,7 @@ def run_abundance_histogram(
         pooled=total,
         trials=cfg.trials_per_point,
         diverged=len(results) - len(solved),
-        provenance=_provenance(cfg, t0, kappa=kappa, bins=bins),
+        provenance=_provenance(cfg, t0, env, kappa=kappa, bins=bins),
     )
 
 
@@ -403,13 +481,8 @@ def run_dynamics_trace(cfg: SweepConfig, kappa: float) -> DynamicsTrace:
     pattern = build_pattern(cfg, pattern_seed(cfg.master_seed))
     seed = trial_seed(cfg.master_seed, 0, 0)
     M = assemble(pattern, alpha, seed)
-    reference = None
-    try:
-        report = solve_feasibility(M, tol=cfg.solver_tol)
-        if report.feasible:
-            reference = report.x
-    except DivergenceError:
-        pass
+    report = _solve(M, cfg.solver_tol)
+    reference = report.x if report is not None and report.feasible else None
     record = integrate_lv(
         M,
         np.full(cfg.n, 0.5),
@@ -448,11 +521,8 @@ class SpectrumSweepResult:
 def _spectrum_trial(trial: int) -> dict | None:
     """Jacobian spectrum row at a converged feasible equilibrium; else None."""
     M = _matrix(0, trial, _CTX["alpha"])
-    try:
-        report = solve_feasibility(M, tol=_CTX["cfg"].solver_tol)
-    except DivergenceError:
-        return None
-    if not (report.converged and report.feasible):
+    report = _solve(M, _CTX["cfg"].solver_tol)
+    if report is None or not report.feasible:
         return None
     spec = jacobian_spectrum(M, report.x)
     return {
@@ -469,24 +539,20 @@ def run_spectrum_check(cfg: SweepConfig, kappa: float, workers: int = 1) -> Spec
     ended infeasible are skipped and counted in ``skipped``: the Jacobian
     is only meaningful at a converged equilibrium.
 
-    Trials run in-process whatever ``workers`` says.  The eigensolve gains
-    little from a second BLAS thread, but a forked worker keeps the
-    parent's BLAS threads, so a pool oversubscribes the cores; pinning each
-    worker to one BLAS thread would need threadpoolctl or an equivalent,
-    which the package does not use.  On 2 cores with OpenBLAS 0.3.31, a
-    dense n=1000 eigensolve took 1.0-1.2 s on 2 BLAS threads, 1.0 s on 1,
-    and 2.6-10.7 s in a 2-process pool.
+    Trials run on ``workers`` processes, each eigensolve on one BLAS
+    thread, so the rows are identical for every worker count.
     """
     t0 = time.time()
     alpha = cfg.alpha(kappa)
-    results = run_trials(cfg, range(cfg.trials_per_point), _spectrum_trial, alpha=alpha)
+    tasks = range(cfg.trials_per_point)
+    results, env = run_trials(cfg, tasks, _spectrum_trial, workers, alpha=alpha)
     rows = [r for r in results if r is not None]
     return SpectrumSweepResult(
         rows=rows,
         skipped=len(results) - len(rows),
         mean_max_real_part=_mean([r["max_real_part"] for r in rows]),
         mean_localization_error=_mean([r["localization_error"] for r in rows]),
-        provenance=_provenance(cfg, t0, kappa=kappa),
+        provenance=_provenance(cfg, t0, env, kappa=kappa),
     )
 
 
@@ -502,4 +568,4 @@ def run_singular_gap_trials(
     cfg = SweepConfig(
         n=n, d=d, model=model, trials_per_point=trials, master_seed=master_seed,
     )
-    return run_trials(cfg, range(trials), _gap_trial)
+    return run_trials(cfg, range(trials), _gap_trial)[0]

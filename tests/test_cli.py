@@ -172,6 +172,20 @@ class TestSpectrum:
         for line in lines[1:]:
             assert float(line.split(",")[1]) < 0.0
 
+    def test_threads_do_not_change_output(self, tmp_path):
+        cfg = write_config(tmp_path, n=200, d=6, model="general_regular",
+                           trials_per_point=3, master_seed=6)
+        outputs, metas = [], []
+        for threads in ("1", "2"):
+            out = tmp_path / f"spectrum{threads}.csv"
+            argv = ["spectrum", "--config", cfg, "--kappa", "8.0", "--threads", threads]
+            assert main(argv + ["--out", str(out)]) == 0
+            outputs.append(out.read_text())
+            metas.append(json.loads((tmp_path / f"{out.name}.meta.json").read_text()))
+        assert len(outputs[0].splitlines()) == 4
+        assert outputs[0] == outputs[1]
+        assert [m["workers"] for m in metas] == [1, 2]
+
 
 class TestGap:
     def test_stdout(self, capsys):
@@ -183,6 +197,7 @@ class TestGap:
 
 
 # Every subcommand that writes a file; CONFIG stands for a config file path.
+# The ones in POOLED run their trials through run_trials, on one BLAS thread.
 SIDECAR_CASES = {
     "pattern": ["pattern", "--n", "60", "--d", "6"],
     "solve_csv": ["solve", "--n", "60", "--d", "6", "--kappa", "8.0"],
@@ -193,6 +208,7 @@ SIDECAR_CASES = {
     "spectrum": ["spectrum", "--config", "CONFIG", "--kappa", "8.0"],
     "gap": ["gap", "--n", "12", "--d", "3", "--trials", "3"],
 }
+POOLED = {"sweep", "histogram", "spectrum", "gap"}
 
 
 @pytest.mark.parametrize("case", sorted(SIDECAR_CASES))
@@ -206,6 +222,12 @@ def test_sidecar_provenance(case, tmp_path):
     assert meta["version"] == __version__
     if case != "gap":  # gap builds its own config from its flags
         assert meta["config"]["n"] == 60
+    assert meta["workers"] == 1
+    threads = meta["blas_threads"]  # per OpenBLAS library; empty without one
+    assert isinstance(threads, dict)
+    assert all(isinstance(v, int) and v >= 1 for v in threads.values())
+    if case in POOLED:
+        assert set(threads.values()) <= {1}
 
 
 class TestExitCodes:

@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -12,8 +15,20 @@ from sparselv.experiments import (
     run_feasibility_sweep,
     run_singular_gap_trials,
     run_spectrum_check,
+    run_trials,
     trial_seed,
 )
+
+
+def capped_solver(monkeypatch, reports):
+    """Make every driver's Neumann solve stop after 2 iterations, unconverged."""
+    solve = experiments.solve_feasibility
+
+    def capped(M, **kwargs):
+        reports.append(solve(M, max_iter=2, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(experiments, "solve_feasibility", capped)
 
 
 class TestSweepConfig:
@@ -131,6 +146,17 @@ class TestFeasibilitySweep:
         result = run_feasibility_sweep(SweepConfig(**self.CFG))
         assert result.provenance["config"]["n"] == 60
         assert "version" in result.provenance
+        assert result.provenance["workers"] == 1
+
+    def test_unconverged_solve_counted_diverged(self, monkeypatch):
+        reports = []
+        capped_solver(monkeypatch, reports)
+        cfg = SweepConfig(n=60, d=6, kappa_grid=[8.0], trials_per_point=4, master_seed=6)
+        row = run_feasibility_sweep(cfg).rows[0]
+        assert len(reports) == 4 and not any(r.converged for r in reports)
+        assert any(r.feasible for r in reports)  # would have been counted
+        assert row["feasible_count"] == 0 and row["diverged"] == 4
+        assert math.isnan(row["mean_min_x"])
 
 
 class TestAbundanceHistogram:
@@ -149,6 +175,15 @@ class TestAbundanceHistogram:
         b = run_abundance_histogram(cfg, kappa=5.0, workers=2)
         np.testing.assert_array_equal(a.counts, b.counts)
         assert a.mean == b.mean and a.variance == b.variance
+
+    def test_unconverged_solve_not_pooled(self, monkeypatch):
+        reports = []
+        capped_solver(monkeypatch, reports)
+        cfg = SweepConfig(n=60, d=6, trials_per_point=4, master_seed=6)
+        result = run_abundance_histogram(cfg, kappa=8.0)
+        assert len(reports) == 4 and not any(r.converged for r in reports)
+        assert result.pooled == 0 and result.diverged == 4
+        assert result.counts.sum() == 0
 
     def test_warns_below_threshold(self):
         cfg = SweepConfig(n=100, d=10, trials_per_point=1)
@@ -175,6 +210,15 @@ class TestDynamicsTrace:
         assert trace.record.distance_series is not None
         assert trace.record.distance_series[-1] < 1e-6
 
+    def test_unconverged_solve_gives_no_reference(self, monkeypatch):
+        reports = []
+        capped_solver(monkeypatch, reports)
+        cfg = SweepConfig(n=60, d=6, master_seed=6, t_end=5.0, sample_count=6)
+        trace = run_dynamics_trace(cfg, kappa=8.0)
+        assert len(reports) == 1 and not reports[0].converged
+        assert reports[0].feasible  # would have been the reference
+        assert trace.record.distance_series is None
+
 
 class TestSpectrumCheck:
     def test_stable_spectra_at_high_kappa(self):
@@ -187,20 +231,71 @@ class TestSpectrumCheck:
         assert result.mean_max_real_part < 0.0
 
     def test_unconverged_solve_skipped(self, monkeypatch):
-        solve = experiments.solve_feasibility
         reports = []
-
-        def capped(M, **kwargs):
-            reports.append(solve(M, max_iter=2, **kwargs))
-            return reports[-1]
-
-        monkeypatch.setattr(experiments, "solve_feasibility", capped)
+        capped_solver(monkeypatch, reports)
         cfg = SweepConfig(n=60, d=6, trials_per_point=4, master_seed=6)
         result = run_spectrum_check(cfg, kappa=8.0)
         assert len(reports) == 4
         assert not any(r.converged for r in reports)
         assert any(r.feasible for r in reports)  # would have been kept
         assert result.rows == [] and result.skipped == 4
+
+    def test_worker_count_invariant(self):
+        # one general_regular block of 200: the eigensolve BLAS could thread
+        cfg = SweepConfig(n=200, d=6, model="general_regular", trials_per_point=3,
+                          master_seed=6)
+        serial = run_spectrum_check(cfg, kappa=8.0, workers=1)
+        pooled = run_spectrum_check(cfg, kappa=8.0, workers=2)
+        assert len(serial.rows) == 3
+        assert json.dumps(serial.rows) == json.dumps(pooled.rows)
+        assert (serial.provenance["workers"], pooled.provenance["workers"]) == (1, 2)
+
+
+# Trial functions for run_trials; module level, so a pool can pickle them.
+def _pid_and_threads(task):
+    time.sleep(0.2)  # long enough that a second worker takes a task
+    return os.getpid(), experiments.blas_threads()
+
+
+def _raise(task):
+    raise ValueError(f"trial {task} failed")
+
+
+@pytest.fixture
+def caller_threads():
+    """Every loaded OpenBLAS set to 3 threads, restored afterwards."""
+    libs = experiments._openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded")
+    saved = experiments.blas_threads()
+    for _, set_ in libs.values():
+        set_(3)
+    yield {name: 3 for name in libs}
+    for name, (_, set_) in libs.items():
+        set_(saved[name])
+
+
+class TestRunTrials:
+    CFG = SweepConfig(n=4, d=2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trials_run_on_one_blas_thread(self, workers, caller_threads):
+        results, env = run_trials(self.CFG, range(3), _pid_and_threads, workers)
+        ones = {name: 1 for name in caller_threads}
+        assert [threads for _, threads in results] == [ones] * 3
+        assert env == {"workers": workers, "blas_threads": ones}
+        assert experiments.blas_threads() == caller_threads
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_restored_after_raise(self, workers, caller_threads):
+        with pytest.raises(ValueError, match="trial 0 failed"):
+            run_trials(self.CFG, range(3), _raise, workers)
+        assert experiments.blas_threads() == caller_threads
+
+    def test_three_tasks_spread_over_two_workers(self):
+        results, _ = run_trials(self.CFG, range(3), _pid_and_threads, workers=2)
+        pids = {pid for pid, _ in results}
+        assert len(pids) == 2 and os.getpid() not in pids
 
 
 def test_singular_gap_trials():
