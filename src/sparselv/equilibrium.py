@@ -122,15 +122,20 @@ def solve_feasibility(
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     n = M.n
-    ones = np.ones(n)
-    x = ones.copy()
+    csr, scale = M._unscaled_csr(), M.scale
+    x = np.ones(n)
     best = math.inf
     stalled = 0
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        x_next = ones + M.matvec(x)
-        residual = float(np.max(np.abs(x_next - x)))
+        # x_next = 1 + Mx, then the step |x_next - x| in x's buffer; the
+        # same operations as 1 + M.matvec(x), so the same bits.
+        x_next = csr @ x
+        x_next *= scale
+        x_next += 1.0
+        np.subtract(x_next, x, out=x)
+        residual = float(np.abs(x, out=x).max())
         stalled = 0 if residual < best else stalled + 1
         best = min(best, residual)
         if not math.isfinite(residual) or stalled >= 20:
@@ -157,7 +162,7 @@ def solve_feasibility(
         Z=Z,
         R=R,
         min_Z=float(Z.min()),
-        residual_inf=float(np.max(np.abs(x - ones - M.matvec(x)))),
+        residual_inf=float(np.max(np.abs(x - 1.0 - M.matvec(x)))),
         solver_iterations=iterations,
         converged=converged,
         alpha=alpha,

@@ -20,26 +20,30 @@ matrix on that cached pattern, or on the trial's own pattern otherwise.
 ``run_trials`` pins the bundled OpenBLAS libraries to one thread for its
 whole body (see ``one_blas_thread``), so every trial, and every eigensolve
 in it, runs on one BLAS thread whatever the worker count.  The pin is set
-in the calling process before the pool forks, and the workers inherit it;
-that holds under the ``fork`` start method, the Linux default through
-Python 3.13.
+in the calling process before the pool forks, and the workers inherit it.
+That holds only under the ``fork`` start method, so the pool asks for it
+explicitly rather than taking the default (``forkserver`` on Linux from
+Python 3.14).
 
 Each driver's ``provenance`` comes from ``_provenance``: config echo,
-driver-specific keys, worker count, BLAS threads per library, package
-version and wall time.
+driver-specific keys, worker count, BLAS threads per library, the python,
+numpy and scipy versions, package version and wall time.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import multiprocessing
 import os
+import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .patterns import (
@@ -256,7 +260,8 @@ def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1, **extra):
         else:
             chunk = max(1, min(8, len(tasks) // (2 * workers)))
             with ProcessPoolExecutor(
-                max_workers=workers, initializer=_init, initargs=(cfg, extra)
+                max_workers=workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_init, initargs=(cfg, extra),
             ) as pool:
                 results = list(pool.map(trial_fn, tasks, chunksize=chunk))
     return results, {"workers": workers, "blas_threads": threads}
@@ -268,7 +273,11 @@ def _provenance(cfg: SweepConfig | None, t0: float, env: dict | None = None, **e
     returned; by default one process and the counts read now."""
     config = {} if cfg is None else {"config": cfg.echo()}
     env = env or {"workers": 1, "blas_threads": blas_threads()}
-    return {**config, **extra, **env, "version": __version__, "wall_time_s": time.time() - t0}
+    return {
+        **config, **extra, **env,
+        "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+        "version": __version__, "wall_time_s": time.time() - t0,
+    }
 
 
 def _solve(M: InteractionMatrix, tol: float):

@@ -59,6 +59,7 @@ class InteractionMatrix:
             raise ValueError(
                 f"weights shape {w.shape} != ({self.pattern.n}, {self.pattern.d})"
             )
+        w.setflags(write=False)  # the cached CSR shares this memory
         self.weights = w
 
     @property
@@ -74,18 +75,19 @@ class InteractionMatrix:
         return 1.0 / (self.alpha * math.sqrt(self.d))
 
     def with_alpha(self, alpha: float) -> "InteractionMatrix":
-        """Same Gaussian draw, different interaction strength."""
-        return InteractionMatrix(self.pattern, self.weights, alpha, self.seed)
+        """Same Gaussian draw, different interaction strength; shares the
+        weights and the cached unscaled CSR."""
+        return InteractionMatrix(self.pattern, self.weights, alpha, self.seed, self._csr)
 
     def _unscaled_csr(self) -> sp.csr_matrix:
-        # CSR of mask*A (raw weights, no normalization); built once.
+        # CSR of mask*A (raw weights, no normalization); built once.  Its
+        # data is a view of the weights; 32-bit indices where they fit.
         if self._csr is None:
             n, d = self.n, self.d
-            indptr = np.arange(0, n * d + 1, d, dtype=np.int64)
-            self._csr = sp.csr_matrix(
-                (self.weights.ravel().copy(), self.pattern.row_cols.ravel().copy(), indptr),
-                shape=(n, n),
-            )
+            index = np.int32 if n * d < 2**31 else np.int64
+            cols = self.pattern.row_cols.reshape(-1).astype(index)
+            indptr = np.arange(0, n * d + 1, d, dtype=index)
+            self._csr = sp.csr_matrix((self.weights.reshape(-1), cols, indptr), shape=(n, n))
         return self._csr
 
     def matvec(self, v: np.ndarray) -> np.ndarray:

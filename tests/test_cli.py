@@ -1,7 +1,10 @@
 import csv
 import json
+import platform
 
+import numpy as np
 import pytest
+import scipy
 import yaml
 
 from sparselv import __version__
@@ -220,6 +223,8 @@ def test_sidecar_provenance(case, tmp_path):
     meta = json.loads(open(out + ".meta.json").read())
     assert isinstance(meta["wall_time_s"], float) and meta["wall_time_s"] >= 0.0
     assert meta["version"] == __version__
+    assert meta["python"] == platform.python_version()
+    assert (meta["numpy"], meta["scipy"]) == (np.__version__, scipy.__version__)
     if case != "gap":  # gap builds its own config from its flags
         assert meta["config"]["n"] == 60
     assert meta["workers"] == 1

@@ -107,6 +107,57 @@ class TestSolveFeasibility:
         assert full["x"] == [1.0, 1.0, 1.0]
 
 
+def reference_neumann(M, tol=1e-12, max_iter=10_000):
+    """The plain loop x <- 1 + M.matvec(x) with solve_feasibility's stall
+    and tolerance rules: (x, iterations, converged, residual_inf), or the
+    iteration at which it diverges."""
+    ones = np.ones(M.n)
+    x = ones.copy()
+    best, stalled, converged = math.inf, 0, False
+    for it in range(1, max_iter + 1):
+        x_next = ones + M.matvec(x)
+        residual = float(np.max(np.abs(x_next - x)))
+        stalled = 0 if residual < best else stalled + 1
+        best = min(best, residual)
+        if not math.isfinite(residual) or stalled >= 20:
+            return it
+        x = x_next
+        if residual <= tol:
+            converged = True
+            break
+    return x, it, converged, float(np.max(np.abs(x - ones - M.matvec(x))))
+
+
+@st.composite
+def small_matrices(draw):
+    """Block-permutation or general d-regular draws with n <= 200, from
+    contracting to divergent."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        m, d = draw(st.integers(1, 20)), draw(st.integers(1, 10))
+        sigma = Permutation.random(m, np.random.default_rng(seed))
+        pattern = block_permutation_pattern(m, d, sigma)
+    else:
+        n = draw(st.integers(1, 200))
+        pattern = general_regular_pattern(n, draw(st.integers(1, n)), rng_seed=seed)
+    return assemble(pattern, alpha=draw(st.floats(0.5, 6.0)), seed=seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices(), st.sampled_from([1e-12, 1e-8]), st.sampled_from([10_000, 40, 3]))
+def test_solve_matches_reference_loop(M, tol, max_iter):
+    expected = reference_neumann(M, tol, max_iter)
+    if isinstance(expected, int):
+        with pytest.raises(DivergenceError, match=f"at iteration {expected} "):
+            solve_feasibility(M, tol=tol, max_iter=max_iter)
+        return
+    x, iterations, converged, residual_inf = expected
+    rep = solve_feasibility(M, tol=tol, max_iter=max_iter)
+    assert rep.x.tobytes() == x.tobytes()
+    assert (rep.solver_iterations, rep.converged) == (iterations, converged)
+    assert rep.residual_inf == residual_inf
+
+
 class TestNeumannSummand:
     def test_zero_matrix(self):
         M = zero_matrix(4)

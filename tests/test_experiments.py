@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,6 +299,43 @@ class TestRunTrials:
         results, _ = run_trials(self.CFG, range(3), _pid_and_threads, workers=2)
         pids = {pid for pid, _ in results}
         assert len(pids) == 2 and os.getpid() not in pids
+
+
+# Run as a script: sets the global start method to spawn, gives the caller
+# three BLAS threads, and prints what each pooled trial saw.
+SPAWN_SCRIPT = """
+import json, multiprocessing
+from sparselv import experiments
+
+def probe(task):
+    return experiments.blas_threads()
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn", force=True)
+    libs = experiments._openblas()
+    for _, set_ in libs.values():
+        set_(3)
+    cfg = experiments.SweepConfig(n=4, d=2)
+    results, _ = experiments.run_trials(cfg, range(4), probe, workers=2)
+    print(json.dumps({"libs": sorted(libs), "results": results}))
+"""
+
+
+def test_pool_forks_whatever_the_default_start_method(tmp_path):
+    # A spawned or forkserver worker would not inherit the pin and would
+    # start its OpenBLAS with OPENBLAS_NUM_THREADS threads.
+    script = tmp_path / "spawn_default.py"
+    script.write_text(SPAWN_SCRIPT)
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "3"}
+    out = subprocess.run(
+        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    if not report["libs"]:
+        pytest.skip("no OpenBLAS loaded")
+    assert report["results"] == [{name: 1 for name in report["libs"]}] * 4
 
 
 def test_singular_gap_trials():

@@ -83,6 +83,18 @@ class TestMatvec:
             M.matvec(np.ones(4))
 
 
+def test_weights_read_only_and_shared_by_the_csr():
+    M = assemble(general_regular_pattern(40, 5, rng_seed=2), alpha=2.0, seed=6)
+    with pytest.raises(ValueError):
+        M.weights[0, 0] = 1.0
+    csr = M._unscaled_csr()
+    assert np.shares_memory(csr.data, M.weights)
+    assert csr.indices.dtype == csr.indptr.dtype == np.int32
+    M2 = M.with_alpha(4.0)
+    assert M2.weights is M.weights
+    np.testing.assert_allclose(M2.dense(), M.dense() / 2.0, rtol=1e-15)
+
+
 def test_scaling_covariance():
     p = general_regular_pattern(24, 4, rng_seed=7)
     M1 = assemble(p, alpha=1.0, seed=4)

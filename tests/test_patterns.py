@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,8 @@ from sparselv import (
     proportional_pattern,
     validate_regularity,
 )
-from sparselv.patterns import RegularityReport, load_pattern, save_pattern
+from sparselv import patterns
+from sparselv.patterns import RegularityReport, load_pattern, pattern_text
 
 
 def is_circulant(row_cols):
@@ -180,10 +183,39 @@ class TestValidateRegularity:
 def test_text_round_trip(tmp_path):
     p = general_regular_pattern(30, 4, rng_seed=11)
     path = tmp_path / "pattern.txt"
-    save_pattern(p, path)
+    path.write_text(pattern_text(p))
     q = load_pattern(path)
     assert q == p and q.seed == p.seed and q.model == p.model
-    # bit-exact: a second export is byte-identical
-    path2 = tmp_path / "pattern2.txt"
-    save_pattern(q, path2)
-    assert path.read_bytes() == path2.read_bytes()
+    assert pattern_text(q) == pattern_text(p)  # bit-exact: a second export is identical
+
+
+# SHA-256 of row_cols for general_regular_pattern(n, d, seed), recorded
+# while every n <= 4096 build used the n x n count table.  They cover the
+# table path (2000, 1000), the scan (2000, 16) and (5000, 40), and the
+# complement of an (n - d)-regular pattern (600, 500).
+FROZEN_DIGESTS = {
+    (2000, 16, 0): "8a2b47f2389c96c9d3dc524e0b9bdefaf60a64692ab498e5378f7324c2f2a048",
+    (2000, 16, 1): "0f95ae0369f81d1040fa5107cc054b1755c33281b8279069b57f7c7871270975",
+    (2000, 16, 2): "45e2a2ca8794bfc47a238e2ae633fb60562852bf2e5d45c4f87288d512d1cce5",
+    (2000, 1000, 0): "5775473049f421bda17b40fa1ba9a25338ddfead004e04bba35309e15c68f17f",
+    (600, 500, 7): "a222d779b37321646a48a089e28cba5592fff6ed9020e4bedb754ef708c0f829",
+    (5000, 40, 3): "1ae0fff1debc81f3e4eab6a0cd3588ca5b276a815451fb2ef720c23d2cad1749",
+}
+
+
+@pytest.mark.parametrize("n, d, seed", sorted(FROZEN_DIGESTS))
+def test_frozen_digest(n, d, seed):
+    row_cols = general_regular_pattern(n, d, rng_seed=seed).row_cols
+    assert hashlib.sha256(row_cols.tobytes()).hexdigest() == FROZEN_DIGESTS[n, d, seed]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 300), st.data(), st.integers(0, 2**32 - 1))
+def test_table_and_scan_agree(n, data, seed):
+    d = data.draw(st.integers(1, n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(patterns, "_TABLE_RATIO", n)  # n <= n * d: always the table
+        table = general_regular_pattern(n, d, rng_seed=seed).row_cols
+        mp.setattr(patterns, "_TABLE_RATIO", 0)  # never the table
+        scan = general_regular_pattern(n, d, rng_seed=seed).row_cols
+    np.testing.assert_array_equal(table, scan)
