@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .patterns import (
     AdjacencyPattern,
     PatternModel,
-    Permutation,
     block_permutation_pattern,
     full_pattern,
     general_regular_pattern,

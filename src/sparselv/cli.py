@@ -45,16 +45,22 @@ EXIT_INVALID_CONFIG = 2
 EXIT_NUMERICAL_FAILURE = 3
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="master seed")
-    parser.add_argument(
-        "--threads", type=int, default=1,
-        help="worker processes for sweep, histogram and spectrum; their "
-        "trials run on one BLAS thread each",
-    )
-    parser.add_argument("--out", type=str, default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--config", type=str, default=None, help="flat key-value config file")
+_SHARED_FLAGS = {
+    "--seed": dict(type=int, default=0, help="master seed"),
+    "--threads": dict(
+        type=int, default=1,
+        help="worker processes; their trials run on one BLAS thread each",
+    ),
+    "--out": dict(type=str, default=None, help="output path (default stdout)"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--config": dict(type=str, default=None, help="flat key-value config file"),
+}
+
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
+    """Register the shared flags that the subcommand reads; no others."""
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def _load_config(args, **overrides) -> SweepConfig:
@@ -220,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pattern", help="generate a d-regular adjacency pattern")
-    _add_common(p)
+    _add_shared(p, "--seed", "--out", "--config")
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--model", choices=MODELS)
@@ -228,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_pattern)
 
     p = sub.add_parser("solve", help="solve one feasibility instance")
-    _add_common(p)
+    _add_shared(p, "--seed", "--out", "--format", "--config")
     p.add_argument("--n", type=int)
     p.add_argument("--d", type=int)
     p.add_argument("--model", choices=MODELS)
@@ -238,27 +244,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="feasibility fraction over a kappa grid")
-    _add_common(p)
+    _add_shared(p, *_SHARED_FLAGS)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("histogram", help="pooled abundance histogram at one kappa")
-    _add_common(p)
+    _add_shared(p, *_SHARED_FLAGS)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--bins", type=int, default=60)
     p.set_defaults(func=cmd_histogram)
 
     p = sub.add_parser("dynamics", help="trajectory trace for one seeded trial")
-    _add_common(p)
+    _add_shared(p, "--seed", "--out", "--format", "--config")
     p.add_argument("--kappa", type=float, required=True)
     p.set_defaults(func=cmd_dynamics)
 
     p = sub.add_parser("spectrum", help="Jacobian spectra at feasible equilibria")
-    _add_common(p)
+    _add_shared(p, *_SHARED_FLAGS)
     p.add_argument("--kappa", type=float, required=True)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("gap", help="singular-gap Monte Carlo")
-    _add_common(p)
+    _add_shared(p, "--seed", "--out", "--format")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)

@@ -11,7 +11,7 @@ block-permutation pattern, one cycle of sigma at a time).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -58,7 +58,6 @@ class TrajectoryRecord:
     mean_series: np.ndarray
     final_state: np.ndarray
     converged: bool
-    snapshots: dict[float, np.ndarray] = field(default_factory=dict)
     distance_series: np.ndarray | None = None
     states: np.ndarray | None = None  # (n, len(times)) when kept
 
@@ -79,7 +78,6 @@ def integrate_lv(
     rel_tol: float = 1e-8,
     abs_tol: float = 1e-10,
     sample_count: int = 200,
-    snapshot_times: tuple[float, ...] = (),
     reference: np.ndarray | None = None,
     keep_states: bool = False,
 ) -> TrajectoryRecord:
@@ -102,12 +100,6 @@ def integrate_lv(
         raise ValueError(f"t_end must be positive, got {t_end}")
 
     t_eval = np.linspace(0.0, t_end, max(2, sample_count))
-    if snapshot_times:
-        extra = np.asarray(snapshot_times, dtype=np.float64)
-        if ((extra < 0) | (extra > t_end)).any():
-            raise ValueError("snapshot times must lie in [0, t_end]")
-        t_eval = np.unique(np.concatenate([t_eval, extra]))
-
     sol = solve_ivp(
         lambda t, x: lv_field(M, x),
         (0.0, t_end),
@@ -118,9 +110,7 @@ def integrate_lv(
         atol=abs_tol,
     )
     states = sol.y  # (n, T)
-    record = _make_record(
-        M, sol.t, states, snapshot_times, reference, keep_states, abs_tol
-    )
+    record = _make_record(M, sol.t, states, reference, keep_states, abs_tol)
     if not sol.success:
         raise IntegrationError(
             f"integration aborted at t={sol.t[-1] if len(sol.t) else 0.0:.3g}: "
@@ -135,14 +125,10 @@ def integrate_lv(
     return record
 
 
-def _make_record(M, times, states, snapshot_times, reference, keep_states, abs_tol):
+def _make_record(M, times, states, reference, keep_states, abs_tol):
     if states.size == 0:
         raise IntegrationError("integrator produced no samples")
     final_state = states[:, -1]
-    snapshots = {}
-    for t in snapshot_times:
-        j = int(np.argmin(np.abs(times - t)))
-        snapshots[float(times[j])] = states[:, j].copy()
     distance = None
     if reference is not None:
         reference = np.asarray(reference, dtype=np.float64)
@@ -154,7 +140,6 @@ def _make_record(M, times, states, snapshot_times, reference, keep_states, abs_t
         mean_series=states.mean(axis=0),
         final_state=final_state.copy(),
         converged=bool(np.max(np.abs(lv_field(M, final_state))) < abs_tol),
-        snapshots=snapshots,
         distance_series=distance,
         states=states.copy() if keep_states else None,
     )

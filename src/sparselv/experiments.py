@@ -47,8 +47,8 @@ import scipy
 
 from . import __version__
 from .patterns import (
+    MODELS,
     AdjacencyPattern,
-    Permutation,
     block_permutation_pattern,
     full_pattern,
     general_regular_pattern,
@@ -80,8 +80,6 @@ __all__ = [
     "MODELS",
 ]
 
-MODELS = ("block_permutation", "general_regular", "full", "proportional")
-
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -109,6 +107,8 @@ class SweepConfig:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
+        if self.beta is not None and self.model != "proportional":
+            raise ConfigError(f"beta applies to the proportional model only, not {self.model!r}")
         if self.model == "full":
             self.d = self.n
         elif self.model == "proportional":
@@ -170,8 +170,7 @@ def pattern_seed(master_seed: int, trial: int | None = None) -> int:
 def build_pattern(cfg: SweepConfig, seed: int) -> AdjacencyPattern:
     if cfg.model == "block_permutation":
         m = cfg.n // cfg.d
-        sigma = Permutation.random(m, np.random.default_rng(seed))
-        return block_permutation_pattern(m, cfg.d, sigma)
+        return block_permutation_pattern(m, cfg.d, np.random.default_rng(seed).permutation(m))
     if cfg.model == "general_regular":
         return general_regular_pattern(cfg.n, cfg.d, seed)
     if cfg.model == "proportional":
@@ -330,9 +329,6 @@ class SweepResult:
         "mean_min_x",
         "mean_max_R_normalized",
     )
-
-    def feasible_fractions(self) -> list[tuple[float, float]]:
-        return [(r["kappa"], r["feasible_fraction"]) for r in self.rows]
 
 
 def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:

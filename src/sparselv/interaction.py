@@ -9,7 +9,6 @@ by default, which is the object the kappa = 22 norm envelope refers to.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -97,13 +96,6 @@ class InteractionMatrix:
             raise ValueError(f"vector has shape {v.shape}, expected ({self.n},)")
         return self.scale * (self._unscaled_csr() @ v)
 
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """Sparse product M.T @ v."""
-        v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.n,):
-            raise ValueError(f"vector has shape {v.shape}, expected ({self.n},)")
-        return self.scale * (self._unscaled_csr().T @ v)
-
     def row_sums_unscaled(self) -> np.ndarray:
         """Row sums of mask*A / sqrt(d); these are the first-order Gaussian
         terms of the equilibrium decomposition."""
@@ -123,18 +115,6 @@ class SpectralReport:
     min_gap: float
     norm_bound_holds: bool
     singular_values: np.ndarray | None = None
-
-    def to_json(self) -> str:
-        """Strict JSON; a non-finite ``min_gap`` (NaN above the dense limit,
-        inf at n = 1) is written as null."""
-        return json.dumps(
-            {
-                "spectral_norm": self.spectral_norm,
-                "min_gap": self.min_gap if math.isfinite(self.min_gap) else None,
-                "norm_bound_holds": self.norm_bound_holds,
-            },
-            allow_nan=False,
-        )
 
 
 def assemble(p: AdjacencyPattern, alpha: float, seed: int) -> InteractionMatrix:

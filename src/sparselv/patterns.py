@@ -19,7 +19,7 @@ import numpy as np
 
 __all__ = [
     "PatternModel",
-    "Permutation",
+    "MODELS",
     "AdjacencyPattern",
     "RegularityReport",
     "block_permutation_pattern",
@@ -34,40 +34,12 @@ __all__ = [
 
 class PatternModel(enum.Enum):
     BLOCK_PERMUTATION = "block_permutation"
-    PROPORTIONAL = "proportional"
     GENERAL_REGULAR = "general_regular"
     FULL = "full"
+    PROPORTIONAL = "proportional"
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A bijection of {0, ..., m-1}, stored as the image sequence."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self):
-        m = len(self.mapping)
-        if m == 0:
-            raise ValueError("empty permutation")
-        if sorted(self.mapping) != list(range(m)):
-            raise ValueError(
-                f"mapping is not a bijection of range({m}): {self.mapping}"
-            )
-
-    @property
-    def m(self) -> int:
-        return len(self.mapping)
-
-    @classmethod
-    def identity(cls, m: int) -> "Permutation":
-        return cls(tuple(range(m)))
-
-    @classmethod
-    def random(cls, m: int, rng: np.random.Generator) -> "Permutation":
-        return cls(tuple(int(i) for i in rng.permutation(m)))
-
-    def __call__(self, i: int) -> int:
-        return self.mapping[i]
+MODELS = tuple(m.value for m in PatternModel)
 
 
 @dataclass(frozen=True)
@@ -92,10 +64,6 @@ class AdjacencyPattern:
             raise ValueError(f"row_cols shape {rc.shape} != ({self.n}, {self.d})")
         object.__setattr__(self, "row_cols", rc)
         rc.setflags(write=False)
-
-    @property
-    def nnz(self) -> int:
-        return self.n * self.d
 
     def dense(self) -> np.ndarray:
         """Expand to a dense 0/1 array (intended for small n)."""
@@ -124,22 +92,20 @@ class RegularityReport:
     nnz: int
 
 
-def block_permutation_pattern(m: int, d: int, sigma: Permutation) -> AdjacencyPattern:
+def block_permutation_pattern(m: int, d: int, sigma) -> AdjacencyPattern:
     """Pattern P_sigma (x) J_d: block (i, j) of size d x d is all ones iff
-    j = sigma(i).  The result is d-regular of size n = m * d."""
+    j = sigma[i], for ``sigma`` a permutation of range(m).  The result is
+    d-regular of size n = m * d."""
     if m < 1 or d < 1:
         raise ValueError(f"need m >= 1 and d >= 1, got m={m}, d={d}")
-    if sigma.m != m:
-        raise ValueError(f"permutation is over [{sigma.m}], expected [{m}]")
-    n = m * d
-    row_cols = np.empty((n, d), dtype=np.int64)
-    base = np.arange(d, dtype=np.int64)
-    for i in range(m):
-        j = sigma(i)
-        row_cols[i * d : (i + 1) * d, :] = j * d + base
+    sigma = np.asarray(sigma)
+    if sigma.shape != (m,) or not np.array_equal(np.sort(sigma), np.arange(m)):
+        raise ValueError(f"sigma is not a permutation of range({m}): {sigma.tolist()}")
+    sigma = sigma.astype(np.int64)
+    row_cols = np.repeat(sigma * d, d)[:, None] + np.arange(d)
     model = PatternModel.FULL if m == 1 else PatternModel.BLOCK_PERMUTATION
     return AdjacencyPattern(
-        n=n, d=d, model=model, row_cols=row_cols, meta={"sigma": sigma, "m": m}
+        n=m * d, d=d, model=model, row_cols=row_cols, meta={"sigma": sigma}
     )
 
 
@@ -294,6 +260,8 @@ def load_pattern(path) -> AdjacencyPattern:
         if len(header) != 4:
             raise ValueError(f"malformed pattern header: {header}")
         n, d = int(header[0]), int(header[1])
+        if not 1 <= d <= n:
+            raise ValueError(f"pattern header needs 1 <= d <= n, got n={n}, d={d}")
         model = PatternModel(header[2])
         seed = None if header[3] == "-" else int(header[3])
         row_cols = np.empty((n, d), dtype=np.int64)
@@ -302,4 +270,9 @@ def load_pattern(path) -> AdjacencyPattern:
             if len(row) != d:
                 raise ValueError(f"row {i} has {len(row)} entries, expected {d}")
             row_cols[i] = [int(c) for c in row]
+    # Checked here, not in AdjacencyPattern, which every trial build creates.
+    bad = (row_cols[:, 0] < 0) | (row_cols[:, -1] >= n) | (np.diff(row_cols) <= 0).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"row {i} is not strictly ascending within [0, {n}): {row_cols[i]}")
     return AdjacencyPattern(n=n, d=d, model=model, row_cols=row_cols, seed=seed)

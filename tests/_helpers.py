@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sparselv import InteractionMatrix, Permutation, block_permutation_pattern, full_pattern
+from sparselv import InteractionMatrix, block_permutation_pattern, full_pattern
 
 
 def forced(pattern, weights, alpha=1.0):
@@ -16,7 +16,7 @@ def forced(pattern, weights, alpha=1.0):
 
 def off_diagonal_2x2(c, alpha=1.0):
     """Realized matrix [[0, c], [c, 0]] (swap pattern, d = 1)."""
-    pattern = block_permutation_pattern(2, 1, Permutation((1, 0)))
+    pattern = block_permutation_pattern(2, 1, [1, 0])
     # d = 1 so scale = 1/alpha; weights are the realized values times alpha.
     return forced(pattern, [[c * alpha], [c * alpha]], alpha)
 
@@ -31,7 +31,7 @@ def rotation_2x2(r, theta, alpha=1.0):
 
 def upper_2x2(c, alpha=1.0):
     """Realized matrix [[0, c], [0, 0]] padded on the swap pattern."""
-    pattern = block_permutation_pattern(2, 1, Permutation((1, 0)))
+    pattern = block_permutation_pattern(2, 1, [1, 0])
     return forced(pattern, [[c * alpha], [0.0]], alpha)
 
 

@@ -258,3 +258,27 @@ class TestExitCodes:
         code = main(["solve", "--n", "60", "--d", "6", "--kappa", "0.1"])
         assert code == EXIT_NUMERICAL_FAILURE
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_beta_off_the_proportional_model(self, capsys):
+        args = ["pattern", "--n", "12", "--d", "3", "--model", "general_regular", "--beta", "0.5"]
+        assert main(args) == EXIT_INVALID_CONFIG
+        assert "beta" in capsys.readouterr().err
+
+
+# Shared flags that a subcommand would accept and ignore are not registered.
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["pattern", "--n", "12", "--d", "3"], ["--threads", "2"]),
+        (["pattern", "--n", "12", "--d", "3"], ["--format", "json"]),
+        (["solve", "--n", "60", "--d", "6", "--kappa", "8.0"], ["--threads", "2"]),
+        (["dynamics", "--kappa", "8.0"], ["--threads", "2"]),
+        (["gap", "--n", "12", "--d", "3"], ["--threads", "2"]),
+        (["gap", "--n", "12", "--d", "3"], ["--config", "x.yaml"]),
+    ],
+)
+def test_unread_flags_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        main(command + flag)
+    assert exc_info.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err

@@ -8,7 +8,6 @@ from scipy import stats
 
 from sparselv import (
     DivergenceError,
-    Permutation,
     assemble,
     block_permutation_pattern,
     extreme_value_stat,
@@ -135,7 +134,7 @@ def small_matrices(draw):
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
         m, d = draw(st.integers(1, 20)), draw(st.integers(1, 10))
-        sigma = Permutation.random(m, np.random.default_rng(seed))
+        sigma = np.random.default_rng(seed).permutation(m)
         pattern = block_permutation_pattern(m, d, sigma)
     else:
         n = draw(st.integers(1, 200))
@@ -258,7 +257,7 @@ class TestSaturatedEquilibrium:
         alpha = math.sqrt(math.log(n))
         agreements = 0
         for seed in range(5):
-            sigma = Permutation.random(n // d, np.random.default_rng(seed))
+            sigma = np.random.default_rng(seed).permutation(n // d)
             p = block_permutation_pattern(n // d, d, sigma)
             M = assemble(p, alpha, seed=1000 + seed)
             tol = 1e-8
@@ -297,7 +296,7 @@ class TestStatisticalProperties:
         means = []
         for n in [512, 1024, 2048, 4096]:
             d = 16
-            sigma = Permutation.random(n // d, np.random.default_rng(n))
+            sigma = np.random.default_rng(n).permutation(n // d)
             p = block_permutation_pattern(n // d, d, sigma)
             alpha = 2.0 * math.sqrt(2.0 * math.log(n))
             vals = []

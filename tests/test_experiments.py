@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -9,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparselv import ConfigError, PatternModel, SweepConfig, experiments
+from sparselv import ConfigError, PatternModel, SweepConfig, cli, experiments
 from sparselv.experiments import (
+    MODELS,
     build_pattern,
     pattern_seed,
     run_abundance_histogram,
@@ -64,6 +66,7 @@ class TestSweepConfig:
             {"n": 10, "d": 2, "model": "erdos"},
             {"n": 10, "model": "proportional"},
             {"n": 10, "model": "proportional", "beta": 1.5},
+            {"n": 12, "d": 3, "model": "general_regular", "beta": 0.5},
             {"n": 10, "d": 2, "kappa_grid": []},
             {"n": 10, "d": 2, "kappa_grid": [2.0, -1.0]},
             {"n": 10, "d": 2, "trials_per_point": 0},
@@ -112,6 +115,23 @@ class TestBuildPattern:
         cfg = SweepConfig(n=24, d=4)
         assert build_pattern(cfg, 9) == build_pattern(cfg, 9)
         assert build_pattern(cfg, 9) != build_pattern(cfg, 10)
+
+
+def test_perfbench_tracer_binds_every_name(monkeypatch):
+    """The benchmark's tracer rebinds names in sparselv.cli and
+    sparselv.experiments and reads each built pattern's method or model;
+    a renamed function, a dropped import or a string model breaks it."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    original = experiments.block_permutation_pattern
+    with tracing.Tracer({"cli": cli, "experiments": experiments}) as tracer:
+        for model in MODELS:
+            beta = 0.5 if model == "proportional" else None
+            build_pattern(SweepConfig(n=12, d=3, model=model, beta=beta), seed=1)
+    builds = [s for s in tracer.spans if s["name"] == "patterns.build"]
+    assert len(builds) == len(MODELS)
+    assert all(s.get("method") for s in builds)
+    assert experiments.block_permutation_pattern is original
 
 
 class TestFeasibilitySweep:

@@ -1,11 +1,9 @@
-import json
 import math
 
 import numpy as np
 import pytest
 
 from sparselv import (
-    Permutation,
     assemble,
     block_permutation_pattern,
     full_pattern,
@@ -24,8 +22,7 @@ class TestAssemble:
         assert M.dense()[0, 0] == pytest.approx(a / 2.0)
 
     def test_block_support(self):
-        sigma = Permutation((0, 3, 1, 2))
-        p = block_permutation_pattern(4, 2, sigma)
+        p = block_permutation_pattern(4, 2, [0, 3, 1, 2])
         M = assemble(p, alpha=1.0, seed=3)
         dense = M.dense()
         mask = p.dense().astype(bool)
@@ -75,7 +72,6 @@ class TestMatvec:
             v = rng.standard_normal(n)
             ref = dense @ v
             np.testing.assert_allclose(M.matvec(v), ref, rtol=1e-12)
-            np.testing.assert_allclose(M.rmatvec(v), dense.T @ v, rtol=1e-12)
 
     def test_dimension_mismatch(self):
         M = zero_matrix(3)
@@ -132,15 +128,6 @@ class TestSpectralNorm:
             rep = spectral_norm(assemble(p, alpha=1.0, seed=seed), tol=1e-8)
             assert rep.norm_bound_holds and rep.spectral_norm < 22.0
 
-    def test_json_keys_exact(self):
-        rep = spectral_norm(ones_full(3))
-        payload = json.loads(rep.to_json())
-        assert set(payload) == {
-            "spectral_norm",
-            "min_gap",
-            "norm_bound_holds",
-        }
-
     def test_sparse_branch_matches_dense_svd(self):
         p = general_regular_pattern(600, 7, rng_seed=2)
         M = assemble(p, alpha=1.5, seed=11)
@@ -152,15 +139,6 @@ class TestSpectralNorm:
             assert rep.singular_values is None and math.isnan(rep.min_gap)
             assert spectral_norm(M, unscaled=unscaled).spectral_norm == rep.spectral_norm
         assert spectral_norm(zero_matrix(600)).spectral_norm == 0.0
-
-    def test_json_strict_above_dense_limit(self):
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        rep = spectral_norm(assemble(general_regular_pattern(600, 7, rng_seed=2), 1.0, seed=3))
-        payload = json.loads(rep.to_json(), parse_constant=reject)
-        assert payload["min_gap"] is None
-        assert payload["spectral_norm"] == rep.spectral_norm
 
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
@@ -184,7 +162,7 @@ class TestSingularGap:
         assert singular_gap(assemble(full_pattern(1), 1.0, seed=0)) == math.inf
 
     def test_known_diagonal_spectrum(self):
-        p = block_permutation_pattern(3, 1, Permutation.identity(3))
+        p = block_permutation_pattern(3, 1, np.arange(3))
         M = forced(p, [[1.0], [2.0], [3.0]])
         assert singular_gap(M) == pytest.approx(1.0)
 

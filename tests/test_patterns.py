@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from sparselv import (
     AdjacencyPattern,
     PatternModel,
-    Permutation,
     block_permutation_pattern,
     full_pattern,
     general_regular_pattern,
@@ -31,53 +30,48 @@ def kron_oracle(m, d, sigma):
     out = np.zeros((n, n), dtype=np.int64)
     for i in range(m):
         for j in range(m):
-            if sigma(i) == j:
+            if sigma[i] == j:
                 out[i * d : (i + 1) * d, j * d : (j + 1) * d] = 1
     return out
-
-
-class TestPermutation:
-    def test_identity(self):
-        p = Permutation.identity(4)
-        assert [p(i) for i in range(4)] == [0, 1, 2, 3]
-
-    def test_repeated_index_rejected(self):
-        with pytest.raises(ValueError, match="bijection"):
-            Permutation((0, 0, 1))
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            Permutation((1, 2, 3))
 
 
 class TestBlockPermutation:
     def test_worked_example(self):
         # m=4, d=2, sigma = 1->1, 2->4, 3->2, 4->3 (one-based): dense 2x2
         # blocks at block positions (1,1), (2,4), (3,2), (4,3).
-        sigma = Permutation((0, 3, 1, 2))
+        sigma = [0, 3, 1, 2]
         p = block_permutation_pattern(4, 2, sigma)
         assert p.n == 8 and p.d == 2
         expected = kron_oracle(4, 2, sigma)
         np.testing.assert_array_equal(p.dense(), expected)
+        assert p.meta["sigma"].tolist() == sigma
 
     def test_single_block_is_full(self):
-        p = block_permutation_pattern(1, 5, Permutation.identity(1))
+        p = block_permutation_pattern(1, 5, [0])
         np.testing.assert_array_equal(p.dense(), np.ones((5, 5), dtype=np.int64))
 
     def test_d_one_identity(self):
-        p = block_permutation_pattern(3, 1, Permutation.identity(3))
+        p = block_permutation_pattern(3, 1, np.arange(3))
         np.testing.assert_array_equal(p.dense(), np.eye(3, dtype=np.int64))
 
     def test_wrong_permutation_size(self):
         with pytest.raises(ValueError, match="permutation"):
-            block_permutation_pattern(4, 2, Permutation.identity(3))
+            block_permutation_pattern(4, 2, np.arange(3))
+
+    def test_repeated_index_rejected(self):
+        with pytest.raises(ValueError, match="permutation"):
+            block_permutation_pattern(3, 2, (0, 0, 1))
+
+    def test_out_of_range_rejected(self):
+        with pytest.raises(ValueError, match="permutation"):
+            block_permutation_pattern(3, 2, (1, 2, 3))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 10_000))
     def test_kron_oracle_equivalence(self, m, d, seed):
         if m * d > 64:
             return
-        sigma = Permutation.random(m, np.random.default_rng(seed))
+        sigma = np.random.default_rng(seed).permutation(m)
         p = block_permutation_pattern(m, d, sigma)
         np.testing.assert_array_equal(p.dense(), kron_oracle(m, d, sigma))
         rep = validate_regularity(p)
@@ -147,7 +141,7 @@ def test_proportional_model():
 
 class TestValidateRegularity:
     def test_worked_example(self):
-        p = block_permutation_pattern(4, 2, Permutation((0, 3, 1, 2)))
+        p = block_permutation_pattern(4, 2, [0, 3, 1, 2])
         rep = validate_regularity(p)
         assert rep == type(rep)(True, True, 16)
 
@@ -187,6 +181,23 @@ def test_text_round_trip(tmp_path):
     q = load_pattern(path)
     assert q == p and q.seed == p.seed and q.model == p.model
     assert pattern_text(q) == pattern_text(p)  # bit-exact: a second export is identical
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 1 full -\n5\n0\n1\n", "row 0"),  # column outside [0, n)
+        ("3 2 general_regular -\n0 1\n2 1\n0 2\n", "row 1"),  # unsorted
+        ("3 2 general_regular -\n0 1\n1 2\n2 2\n", "row 2"),  # repeated column
+        ("3 4 general_regular -\n0 1 2 3\n", "1 <= d <= n"),  # d > n
+        ("3 0 general_regular -\n\n\n\n", "1 <= d <= n"),
+    ],
+)
+def test_load_rejects_malformed(tmp_path, text, message):
+    path = tmp_path / "pattern.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        load_pattern(path)
 
 
 # SHA-256 of row_cols for general_regular_pattern(n, d, seed), recorded
