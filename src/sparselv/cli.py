@@ -141,7 +141,14 @@ def cmd_solve(args) -> int:
     kappa = cfg.kappa_grid[0]
     pattern = build_pattern(cfg, pattern_seed(cfg.master_seed))
     M = assemble(pattern, cfg.alpha(kappa), trial_seed(cfg.master_seed, 0, 0))
-    report = solve_feasibility(M, tol=cfg.solver_tol)
+    report = solve_feasibility(M)
+    if not report.converged:
+        print(
+            f"numerical failure: Neumann solve did not converge in "
+            f"{report.solver_iterations} iterations (residual {report.residual_inf:.3e})",
+            file=sys.stderr,
+        )
+        return EXIT_NUMERICAL_FAILURE
     meta = _provenance(cfg, t0)
     if args.format == "json" or args.full_state:
         _write_text(args, report.to_json(full_state=args.full_state) + "\n", meta)
@@ -210,7 +217,7 @@ def cmd_gap(args) -> int:
         )
     meta = _provenance(
         None, t0, {"workers": 1, "blas_threads": threads},
-        n=args.n, d=args.d, trials=args.trials, seed=args.seed,
+        n=args.n, d=args.d, model=args.model, trials=args.trials, seed=args.seed,
         min_over_trials=min(gaps),
     )
     _write_rows(args, ["trial", "min_gap"], list(enumerate(gaps)), meta)

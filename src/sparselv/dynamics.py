@@ -50,16 +50,16 @@ def lv_field(M: InteractionMatrix, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrajectoryRecord:
-    """Per-time abundance statistics plus optional full-state data."""
+    """Sampled states with their per-time abundance statistics."""
 
     times: np.ndarray
+    states: np.ndarray  # (n, len(times))
     min_series: np.ndarray
     max_series: np.ndarray
     mean_series: np.ndarray
     final_state: np.ndarray
     converged: bool
     distance_series: np.ndarray | None = None
-    states: np.ndarray | None = None  # (n, len(times)) when kept
 
     def series_rows(self):
         """Rows ``t, min, max, mean[, dist]`` for CSV export."""
@@ -79,7 +79,6 @@ def integrate_lv(
     abs_tol: float = 1e-10,
     sample_count: int = 200,
     reference: np.ndarray | None = None,
-    keep_states: bool = False,
 ) -> TrajectoryRecord:
     """Integrate the LV system over [0, t_end] with dense sampling at
     ``sample_count`` uniform times.
@@ -110,7 +109,7 @@ def integrate_lv(
         atol=abs_tol,
     )
     states = sol.y  # (n, T)
-    record = _make_record(M, sol.t, states, reference, keep_states, abs_tol)
+    record = _make_record(M, sol.t, states, reference, abs_tol)
     if not sol.success:
         raise IntegrationError(
             f"integration aborted at t={sol.t[-1] if len(sol.t) else 0.0:.3g}: "
@@ -125,7 +124,7 @@ def integrate_lv(
     return record
 
 
-def _make_record(M, times, states, reference, keep_states, abs_tol):
+def _make_record(M, times, states, reference, abs_tol):
     if states.size == 0:
         raise IntegrationError("integrator produced no samples")
     final_state = states[:, -1]
@@ -135,13 +134,13 @@ def _make_record(M, times, states, reference, keep_states, abs_tol):
         distance = np.linalg.norm(states - reference[:, None], axis=0)
     return TrajectoryRecord(
         times=times.copy(),
+        states=states,
         min_series=states.min(axis=0),
         max_series=states.max(axis=0),
         mean_series=states.mean(axis=0),
         final_state=final_state.copy(),
         converged=bool(np.max(np.abs(lv_field(M, final_state))) < abs_tol),
         distance_series=distance,
-        states=states.copy() if keep_states else None,
     )
 
 
@@ -155,9 +154,7 @@ class SpectrumReport:
     components: int  # diagonal blocks solved (strongly connected components)
 
 
-def jacobian_spectrum(
-    M: InteractionMatrix, x: np.ndarray, dense_limit: int = DENSE_EIG_LIMIT
-) -> SpectrumReport:
+def jacobian_spectrum(M: InteractionMatrix, x: np.ndarray) -> SpectrumReport:
     """Eigenvalues of diag(x)(-I + M), one strongly connected block at a time.
 
     Ordered by the strongly connected components of M's pattern, the
@@ -176,8 +173,8 @@ def jacobian_spectrum(
         raise ValueError(f"x has shape {x.shape}, expected ({M.n},)")
     if (x <= 0).any():
         raise ValueError("spectrum analysis expects a strictly positive state")
-    if M.n > dense_limit:
-        raise ValueError(f"n={M.n} exceeds dense eigensolver limit {dense_limit}")
+    if M.n > DENSE_EIG_LIMIT:
+        raise ValueError(f"n={M.n} exceeds dense eigensolver limit {DENSE_EIG_LIMIT}")
     csr = M._unscaled_csr()
     count, labels = connected_components(csr, directed=True, connection="strong")
     order = np.argsort(labels, kind="stable")
@@ -214,14 +211,12 @@ class StabilityCertificate:
     sym_max_eig: float
 
 
-def stability_certificate(
-    M: InteractionMatrix, tol: float = 1e-10, max_iter: int = 10_000
-) -> StabilityCertificate:
+def stability_certificate(M: InteractionMatrix) -> StabilityCertificate:
     """Volterra-Liapunov proxy with identity weighting: M - I is certified
     stable when the largest eigenvalue of S = M + M^T is below 2.
 
-    The eigenvalue comes from ARPACK's Lanczos solver on the sparse S
-    (``tol`` and ``max_iter`` are passed on), from a seeded start vector."""
+    The eigenvalue comes from ARPACK's Lanczos solver on the sparse S, run
+    to relative tolerance 1e-10 from a seeded start vector."""
     csr = M._unscaled_csr()
     S = M.scale * (csr + csr.T)
     if S.count_nonzero() == 0:
@@ -231,32 +226,24 @@ def stability_certificate(
     else:
         v0 = np.random.default_rng(0).standard_normal(M.n)
         lam = float(
-            eigsh(S, k=1, which="LA", tol=tol, maxiter=max_iter, v0=v0,
+            eigsh(S, k=1, which="LA", tol=1e-10, maxiter=10_000, v0=v0,
                   return_eigenvectors=False)[0]
         )
     return StabilityCertificate(vl_stable_proxy=bool(lam < 2.0), sym_max_eig=lam)
 
 
-def convergence_rate(
-    tr: TrajectoryRecord,
-    x_star: np.ndarray | None = None,
-    floor: float | None = None,
-) -> float | None:
+def convergence_rate(tr: TrajectoryRecord, floor: float | None = None) -> float | None:
     """Least-squares slope of log ||x(t) - x*|| over the final half of the
-    trajectory.  Returns None (converged-to-precision sentinel) when the
-    distance sits below ``floor`` over the whole window; ``floor`` defaults
-    to 100 * machine epsilon and should be raised to the integrator noise
-    level when loose tolerances were used."""
-    if tr.distance_series is not None:
-        dist = tr.distance_series
-    elif tr.states is not None and x_star is not None:
-        x_star = np.asarray(x_star, dtype=np.float64)
-        dist = np.linalg.norm(tr.states - x_star[:, None], axis=0)
-    else:
-        raise ValueError("need a distance series or kept states plus x_star")
+    trajectory, x* being the ``reference`` it was integrated with.  Returns
+    None (converged-to-precision sentinel) when the distance sits below
+    ``floor`` over the whole window; ``floor`` defaults to 100 * machine
+    epsilon and should be raised to the integrator noise level when loose
+    tolerances were used."""
+    if tr.distance_series is None:
+        raise ValueError("need a distance series: integrate with a reference")
     half = len(tr.times) // 2
     t_tail = tr.times[half:]
-    d_tail = dist[half:]
+    d_tail = tr.distance_series[half:]
     if floor is None:
         floor = 100.0 * np.finfo(np.float64).eps
     if (d_tail < floor).all():

@@ -234,16 +234,16 @@ def _checked_saturated(
 
 
 def _refine_support(
-    M_dense: np.ndarray, support: np.ndarray, max_rounds: int = 200
+    M_dense: np.ndarray, support: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """Principal pivoting on the survivor support: solve the linear system
     on the current support, drop every species with a nonpositive value,
     then re-admit extinct species whose invasion rate 1 + (Mx)_k is
     positive.  Returns (indices, x) at a consistent support, or None when
-    the support empties or the round budget is exhausted."""
+    the support empties or 200 rounds pass without settling."""
     n = M_dense.shape[0]
     support = support.copy()
-    for _ in range(max_rounds):
+    for _ in range(200):
         idx = np.flatnonzero(support)
         if idx.size == 0:
             return None
@@ -262,17 +262,17 @@ def _refine_support(
     return None
 
 
-def _ode_limit_support(
-    M: InteractionMatrix, tol: float, t_max: float = 500.0
-) -> np.ndarray:
+def _ode_limit_support(M: InteractionMatrix, tol: float) -> np.ndarray:
+    """Indices of the species above the extinction cutoff once the
+    dynamics from x0 = 1/2 are quiescent, or at t = 500."""
     from .dynamics import integrate_lv, lv_field
 
     quiescence = max(tol, 1e-10)
     x0 = np.full(M.n, 0.5)
     t = 0.0
     chunk = 50.0
-    while t < t_max:
-        tr = integrate_lv(M, x0, chunk, rel_tol=1e-8, abs_tol=1e-10, sample_count=2)
+    while t < 500.0:
+        tr = integrate_lv(M, x0, chunk, sample_count=2)
         x0 = tr.final_state
         t += chunk
         if np.max(np.abs(lv_field(M, x0))) < quiescence:

@@ -90,17 +90,12 @@ class SweepConfig:
     n: int
     d: int = 0
     model: str = "block_permutation"
-    beta: float | None = None  # proportional model only; overrides d
+    beta: float | None = None  # proportional model only; sets d
     kappa_grid: list[float] = field(default_factory=lambda: [2.0])
     trials_per_point: int = 1
     master_seed: int = 0
     fix_pattern: bool = True
     t_end: float = 50.0
-    sample_count: int = 201
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    solver_tol: float = 1e-12
-    trace_species: int = 10
 
     def __post_init__(self):
         if self.n < 1:
@@ -109,14 +104,16 @@ class SweepConfig:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.beta is not None and self.model != "proportional":
             raise ConfigError(f"beta applies to the proportional model only, not {self.model!r}")
-        if self.model == "full":
-            self.d = self.n
-        elif self.model == "proportional":
+        if self.model == "proportional":
             if self.beta is None:
                 raise ConfigError("proportional model requires beta")
             if not (0.0 < self.beta <= 1.0):
                 raise ConfigError(f"beta must be in (0, 1], got {self.beta}")
-            self.d = max(1, round(self.beta * self.n))
+        if self.model in ("full", "proportional"):
+            derived = self.n if self.model == "full" else max(1, round(self.beta * self.n))
+            if self.d not in (0, derived):
+                raise ConfigError(f"the {self.model} model sets d={derived}; got d={self.d}")
+            self.d = derived
         if not (1 <= self.d <= self.n):
             raise ConfigError(f"need 1 <= d <= n, got d={self.d}, n={self.n}")
         if self.model == "block_permutation" and self.n % self.d != 0:
@@ -135,6 +132,8 @@ class SweepConfig:
 
     def alpha(self, kappa: float) -> float:
         """Interaction strength alpha = sqrt(kappa * log n)."""
+        if not kappa > 0:
+            raise ConfigError(f"kappa must be positive, got {kappa}")
         if self.n < 2:
             raise ConfigError("alpha parameterization needs n >= 2")
         return math.sqrt(kappa * math.log(self.n))
@@ -279,11 +278,11 @@ def _provenance(cfg: SweepConfig | None, t0: float, env: dict | None = None, **e
     }
 
 
-def _solve(M: InteractionMatrix, tol: float):
+def _solve(M: InteractionMatrix):
     """Neumann report of M, or None when the iteration diverged or stopped
     at ``max_iter`` without converging."""
     try:
-        report = solve_feasibility(M, tol=tol)
+        report = solve_feasibility(M)
     except DivergenceError:
         return None
     return report if report.converged else None
@@ -302,7 +301,7 @@ def _sweep_trial(task: tuple[int, int]) -> dict:
     cfg: SweepConfig = _CTX["cfg"]
     kappa_index, trial = task
     alpha = cfg.alpha(cfg.kappa_grid[kappa_index])
-    report = _solve(_matrix(kappa_index, trial, alpha), cfg.solver_tol)
+    report = _solve(_matrix(kappa_index, trial, alpha))
     if report is None:
         return {"diverged": True, "feasible": False}
     max_r_norm = float(np.max(np.abs(report.R))) / (alpha * math.sqrt(2.0 * math.log(cfg.n)))
@@ -373,7 +372,7 @@ def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 def _hist_trial(trial: int) -> dict | None:
     """Histogram counts and moments of one equilibrium; None if the solve
     diverged or did not converge."""
-    report = _solve(_matrix(0, trial, _CTX["alpha"]), _CTX["cfg"].solver_tol)
+    report = _solve(_matrix(0, trial, _CTX["alpha"]))
     if report is None:
         return None
     x = report.x
@@ -413,8 +412,7 @@ def run_abundance_histogram(
 ) -> HistogramResult:
     """Pool equilibrium abundances across trials; the sample mean and
     variance are reported for comparison against (1, 1/alpha^2)."""
-    if kappa <= 0:
-        raise ConfigError(f"kappa must be positive, got {kappa}")
+    alpha = cfg.alpha(kappa)
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
     if kappa < 2.0:
@@ -426,7 +424,6 @@ def run_abundance_histogram(
             RuntimeWarning,
         )
     t0 = time.time()
-    alpha = cfg.alpha(kappa)
     span = 8.0 / alpha
     edges = np.linspace(1.0 - span, 1.0 + span, bins + 1)
     tasks = range(cfg.trials_per_point)
@@ -478,28 +475,21 @@ class DynamicsTrace:
 
 
 def run_dynamics_trace(cfg: SweepConfig, kappa: float) -> DynamicsTrace:
-    """Integrate one seeded trial and extract the min/max/mean series plus
-    full traces for a random selection of species (all from x0 = 1/2).
+    """Integrate one seeded trial from x0 = 1/2, sampled at 201 times, and
+    extract the min/max/mean series plus full traces of 10 random species.
     The trial always uses the fixed pattern, whatever ``cfg.fix_pattern``."""
     t0 = time.time()
     alpha = cfg.alpha(kappa)
     pattern = build_pattern(cfg, pattern_seed(cfg.master_seed))
     seed = trial_seed(cfg.master_seed, 0, 0)
     M = assemble(pattern, alpha, seed)
-    report = _solve(M, cfg.solver_tol)
+    report = _solve(M)
     reference = report.x if report is not None and report.feasible else None
     record = integrate_lv(
-        M,
-        np.full(cfg.n, 0.5),
-        cfg.t_end,
-        rel_tol=cfg.rel_tol,
-        abs_tol=cfg.abs_tol,
-        sample_count=cfg.sample_count,
-        reference=reference,
-        keep_states=True,
+        M, np.full(cfg.n, 0.5), cfg.t_end, sample_count=201, reference=reference
     )
     rng = np.random.default_rng(trial_seed(cfg.master_seed, 0, 1))
-    k = min(cfg.trace_species, cfg.n)
+    k = min(10, cfg.n)
     indices = np.sort(rng.choice(cfg.n, size=k, replace=False))
     traces = record.states[indices]
     return DynamicsTrace(
@@ -526,7 +516,7 @@ class SpectrumSweepResult:
 def _spectrum_trial(trial: int) -> dict | None:
     """Jacobian spectrum row at a converged feasible equilibrium; else None."""
     M = _matrix(0, trial, _CTX["alpha"])
-    report = _solve(M, _CTX["cfg"].solver_tol)
+    report = _solve(M)
     if report is None or not report.feasible:
         return None
     spec = jacobian_spectrum(M, report.x)

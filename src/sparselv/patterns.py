@@ -110,11 +110,8 @@ def block_permutation_pattern(m: int, d: int, sigma) -> AdjacencyPattern:
 
 
 def full_pattern(n: int) -> AdjacencyPattern:
-    """All n^2 positions present (d = n)."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    row_cols = np.tile(np.arange(n, dtype=np.int64), (n, 1))
-    return AdjacencyPattern(n=n, d=n, model=PatternModel.FULL, row_cols=row_cols)
+    """All n^2 positions present (d = n): the block pattern with one block."""
+    return block_permutation_pattern(1, n, [0])
 
 
 # The n x n count table of _permutation_layers is kept when n <= this * d.

@@ -1,13 +1,16 @@
 import csv
 import json
 import platform
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 import yaml
 
-from sparselv import __version__
+from sparselv import SweepConfig, __version__
 from sparselv.cli import EXIT_INVALID_CONFIG, EXIT_NUMERICAL_FAILURE, main
 from sparselv.patterns import load_pattern
 
@@ -153,17 +156,15 @@ class TestHistogram:
 
 class TestDynamics:
     def test_series_and_traces(self, tmp_path):
-        cfg = write_config(
-            tmp_path, n=60, d=6, t_end=20.0, sample_count=21, trace_species=5
-        )
+        cfg = write_config(tmp_path, n=60, d=6, t_end=20.0)
         out = str(tmp_path / "dyn.csv")
         assert main(["dynamics", "--config", cfg, "--kappa", "8.0", "--out", out]) == 0
         header, rows = read_csv(out)
         assert header == ["t", "min", "max", "mean", "dist"]
-        assert len(rows) == 21
+        assert len(rows) == 201
         t_header, t_rows = read_csv(out + ".traces.csv")
-        assert t_header[0] == "species" and len(t_rows) == 5
-        assert len(t_header) == 22
+        assert t_header[0] == "species" and len(t_rows) == 10
+        assert len(t_header) == 202
 
 
 class TestSpectrum:
@@ -216,7 +217,7 @@ POOLED = {"sweep", "histogram", "spectrum", "gap"}
 
 @pytest.mark.parametrize("case", sorted(SIDECAR_CASES))
 def test_sidecar_provenance(case, tmp_path):
-    config = write_config(tmp_path, n=60, d=6, trials_per_point=2, t_end=5.0, sample_count=6)
+    config = write_config(tmp_path, n=60, d=6, trials_per_point=2, t_end=5.0)
     argv = [config if a == "CONFIG" else a for a in SIDECAR_CASES[case]]
     out = str(tmp_path / "out")
     assert main(argv + ["--out", out]) == 0
@@ -225,7 +226,9 @@ def test_sidecar_provenance(case, tmp_path):
     assert meta["version"] == __version__
     assert meta["python"] == platform.python_version()
     assert (meta["numpy"], meta["scipy"]) == (np.__version__, scipy.__version__)
-    if case != "gap":  # gap builds its own config from its flags
+    if case == "gap":  # gap echoes its flags instead of a config
+        assert (meta["n"], meta["d"], meta["model"]) == (12, 3, "general_regular")
+    else:
         assert meta["config"]["n"] == 60
     assert meta["workers"] == 1
     threads = meta["blas_threads"]  # per OpenBLAS library; empty without one
@@ -259,10 +262,38 @@ class TestExitCodes:
         assert code == EXIT_NUMERICAL_FAILURE
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_unconverged_solve(self, capsys):
+        # The Neumann iteration neither diverges nor converges in max_iter.
+        args = ["solve", "--n", "2", "--model", "full", "--kappa", "3.145091936115901",
+                "--seed", "3"]
+        assert main(args) == EXIT_NUMERICAL_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "did not converge in 10000 iterations (residual 8.78" in captured.err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--n", "6", "--d", "2", "--model", "full"],
+            ["--n", "12", "--d", "2", "--model", "proportional", "--beta", "0.5"],
+        ],
+    )
+    def test_d_other_than_the_models(self, args, capsys):
+        assert main(["pattern", *args]) == EXIT_INVALID_CONFIG
+        assert "sets d=6; got d=2" in capsys.readouterr().err
+
     def test_beta_off_the_proportional_model(self, capsys):
         args = ["pattern", "--n", "12", "--d", "3", "--model", "general_regular", "--beta", "0.5"]
         assert main(args) == EXIT_INVALID_CONFIG
         assert "beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kappa", ["0", "-1"])
+@pytest.mark.parametrize("command", ["histogram", "dynamics", "spectrum"])
+def test_kappa_must_be_positive(command, kappa, tmp_path, capsys):
+    config = write_config(tmp_path, n=60, d=6)
+    assert main([command, "--config", config, f"--kappa={kappa}"]) == EXIT_INVALID_CONFIG
+    assert "error: kappa must be positive" in capsys.readouterr().err
 
 
 # Shared flags that a subcommand would accept and ignore are not registered.
@@ -282,3 +313,12 @@ def test_unread_flags_rejected(command, flag, capsys):
         main(command + flag)
     assert exc_info.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+def test_readme_lists_every_config_key():
+    """The README's --config list names each SweepConfig field once, so a
+    new option is documented on purpose."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    listed = re.findall(r"^- `(\w+)`:", cli_section, flags=re.MULTILINE)
+    assert sorted(listed) == sorted(f.name for f in fields(SweepConfig))

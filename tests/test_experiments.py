@@ -52,6 +52,7 @@ class TestSweepConfig:
     def test_proportional_sets_d(self):
         cfg = SweepConfig(n=40, model="proportional", beta=0.25)
         assert cfg.d == 10
+        assert SweepConfig(n=40, d=10, model="proportional", beta=0.25) == cfg
 
     def test_kappa_grid_sorted(self):
         cfg = SweepConfig(n=60, d=6, kappa_grid=[4.0, 1.0, 2.5])
@@ -67,6 +68,8 @@ class TestSweepConfig:
             {"n": 10, "model": "proportional"},
             {"n": 10, "model": "proportional", "beta": 1.5},
             {"n": 12, "d": 3, "model": "general_regular", "beta": 0.5},
+            {"n": 6, "d": 2, "model": "full"},
+            {"n": 12, "d": 2, "model": "proportional", "beta": 0.5},
             {"n": 10, "d": 2, "kappa_grid": []},
             {"n": 10, "d": 2, "kappa_grid": [2.0, -1.0]},
             {"n": 10, "d": 2, "trials_per_point": 0},
@@ -105,7 +108,7 @@ class TestBuildPattern:
             ("general_regular", PatternModel.GENERAL_REGULAR),
             ("full", PatternModel.FULL),
         ]:
-            cfg = SweepConfig(n=12, d=4, model=model)
+            cfg = SweepConfig(n=12, d=0 if model == "full" else 4, model=model)
             p = build_pattern(cfg, seed=5)
             assert p.n == 12
             if model != "full":
@@ -127,7 +130,8 @@ def test_perfbench_tracer_binds_every_name(monkeypatch):
     with tracing.Tracer({"cli": cli, "experiments": experiments}) as tracer:
         for model in MODELS:
             beta = 0.5 if model == "proportional" else None
-            build_pattern(SweepConfig(n=12, d=3, model=model, beta=beta), seed=1)
+            d = 3 if model in ("block_permutation", "general_regular") else 0
+            build_pattern(SweepConfig(n=12, d=d, model=model, beta=beta), seed=1)
     builds = [s for s in tracer.spans if s["name"] == "patterns.build"]
     assert len(builds) == len(MODELS)
     assert all(s.get("method") for s in builds)
@@ -221,14 +225,12 @@ class TestAbundanceHistogram:
 
 class TestDynamicsTrace:
     def test_trace_shapes_and_convergence(self):
-        cfg = SweepConfig(
-            n=60, d=6, master_seed=5, t_end=60.0, sample_count=41, trace_species=7
-        )
+        cfg = SweepConfig(n=60, d=6, master_seed=5, t_end=60.0)
         trace = run_dynamics_trace(cfg, kappa=8.0)
-        assert trace.species_traces.shape == (7, len(trace.record.times))
-        assert len(set(trace.species_indices.tolist())) == 7
+        assert trace.species_traces.shape == (10, 201) == (10, len(trace.record.times))
+        assert len(set(trace.species_indices.tolist())) == 10
         header, rows = trace.trace_rows()
-        assert header[0] == "species" and len(rows) == 7
+        assert header[0] == "species" and len(rows) == 10
         # feasible regime: trajectory closes in on the linear equilibrium
         assert trace.record.distance_series is not None
         assert trace.record.distance_series[-1] < 1e-6
@@ -236,8 +238,9 @@ class TestDynamicsTrace:
     def test_unconverged_solve_gives_no_reference(self, monkeypatch):
         reports = []
         capped_solver(monkeypatch, reports)
-        cfg = SweepConfig(n=60, d=6, master_seed=6, t_end=5.0, sample_count=6)
+        cfg = SweepConfig(n=60, d=6, master_seed=6, t_end=5.0)
         trace = run_dynamics_trace(cfg, kappa=8.0)
+        assert len(trace.record.times) == 201
         assert len(reports) == 1 and not reports[0].converged
         assert reports[0].feasible  # would have been the reference
         assert trace.record.distance_series is None

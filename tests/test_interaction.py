@@ -114,31 +114,23 @@ class TestSpectralNorm:
         rep = spectral_norm(ones_full(4), unscaled=True)
         assert rep.spectral_norm == pytest.approx(2.0, rel=1e-9)
 
-    def test_matches_dense_svd(self):
-        p = general_regular_pattern(40, 6, rng_seed=5)
-        M = assemble(p, alpha=2.0, seed=6)
-        rep = spectral_norm(M, unscaled=True)
-        exact = np.linalg.svd(M.dense(unscaled=True), compute_uv=False)[0]
-        assert rep.spectral_norm == pytest.approx(exact, rel=1e-8)
-        assert rep.min_gap == pytest.approx(float(np.min(-np.diff(rep.singular_values))))
+    @pytest.mark.parametrize("n", [1, 2, 40, 600])
+    def test_matches_dense_svd(self, n):
+        # n = 1 is the single-weight branch; the rest go through svds.
+        p = full_pattern(n) if n <= 2 else general_regular_pattern(n, 7, rng_seed=n)
+        M = assemble(p, alpha=1.5, seed=11)
+        for unscaled in (True, False):
+            rep = spectral_norm(M, unscaled=unscaled)
+            exact = np.linalg.svd(M.dense(unscaled=unscaled), compute_uv=False)[0]
+            assert rep.spectral_norm == pytest.approx(exact, rel=1e-8)
+            assert spectral_norm(M, unscaled=unscaled).spectral_norm == rep.spectral_norm
+        assert spectral_norm(zero_matrix(n)).spectral_norm == 0.0
 
     def test_envelope_holds_at_moderate_size(self):
         p = general_regular_pattern(500, 7, rng_seed=1)
         for seed in range(3):
             rep = spectral_norm(assemble(p, alpha=1.0, seed=seed), tol=1e-8)
             assert rep.norm_bound_holds and rep.spectral_norm < 22.0
-
-    def test_sparse_branch_matches_dense_svd(self):
-        p = general_regular_pattern(600, 7, rng_seed=2)
-        M = assemble(p, alpha=1.5, seed=11)
-        assert M.n > DENSE_SPECTRUM_LIMIT  # so this goes through svds
-        for unscaled in (True, False):
-            rep = spectral_norm(M, unscaled=unscaled)
-            exact = np.linalg.svd(M.dense(unscaled=unscaled), compute_uv=False)[0]
-            assert rep.spectral_norm == pytest.approx(exact, rel=1e-8)
-            assert rep.singular_values is None and math.isnan(rep.min_gap)
-            assert spectral_norm(M, unscaled=unscaled).spectral_norm == rep.spectral_norm
-        assert spectral_norm(zero_matrix(600)).spectral_norm == 0.0
 
     def test_invalid_tol(self):
         with pytest.raises(ValueError):
@@ -167,7 +159,7 @@ class TestSingularGap:
         assert singular_gap(M) == pytest.approx(1.0)
 
     def test_refused_above_limit(self):
-        p = general_regular_pattern(600, 3, rng_seed=0)
+        p = general_regular_pattern(DENSE_SPECTRUM_LIMIT + 1, 3, rng_seed=0)
         with pytest.raises(ValueError, match="limit"):
             singular_gap(assemble(p, 1.0, seed=0))
 
