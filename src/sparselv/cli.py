@@ -17,8 +17,6 @@ import math
 import sys
 import time
 
-import yaml
-
 from . import __version__
 from .patterns import pattern_text
 # spectral_norm is unused here; perfbench/tracing.py wraps it by this name.
@@ -66,8 +64,13 @@ def _add_shared(parser: argparse.ArgumentParser, *flags: str) -> None:
 def _load_config(args, **overrides) -> SweepConfig:
     mapping = {}
     if args.config:
+        import yaml  # here, not at module scope: only --config needs it
+
         with open(args.config) as f:
-            loaded = yaml.safe_load(f)
+            try:
+                loaded = yaml.safe_load(f)
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"config file is not valid YAML: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file must be a flat mapping, got {type(loaded).__name__}")
         mapping.update(loaded)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import eigsh
 
@@ -97,6 +96,10 @@ def integrate_lv(
         raise ValueError("initial state must be strictly positive")
     if t_end <= 0:
         raise ValueError(f"t_end must be positive, got {t_end}")
+
+    # Imported here: scipy.integrate (with scipy.optimize) is a third of the
+    # package's import time, and no other path needs it.
+    from scipy.integrate import solve_ivp
 
     t_eval = np.linspace(0.0, t_end, max(2, sample_count))
     sol = solve_ivp(

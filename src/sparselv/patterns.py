@@ -119,8 +119,8 @@ _TABLE_RATIO = 24
 
 
 def _permutation_layers(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """n x d array whose columns are random permutations of range(n) and
-    whose rows hold d distinct entries; needs d <= n / 2.
+    """n x d int32 array whose columns are random permutations of range(n)
+    and whose rows hold d distinct entries; needs d <= n / 2.
 
     The d permutation layers are drawn independently.  Every repeated entry
     of a row is then switched away: for a repeat at (i, k) and a random
@@ -141,17 +141,27 @@ def _permutation_layers(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     fraction of n.  The rule also caps the table at _TABLE_RATIO cells per
     entry of the pattern.
     """
-    cols = np.ascontiguousarray(rng.permuted(np.tile(np.arange(n), (d, 1)), axis=1).T)
-    keys = cols * d  # value * d + layer, sorted within rows, in place
-    keys += np.arange(d)
+    # The same draws as rng.permuted(layers, axis=1), without its copy.
+    # Shuffling int64 rows is faster than int32 ones (numpy's fast path is
+    # for pointer-sized items); the transposing copy narrows to int32.
+    layers = np.tile(np.arange(n), (d, 1))
+    for layer in layers:
+        rng.shuffle(layer)
+    cols = layers.T.astype(np.int32, order="C")
+    # Keys value << s | layer, sorted within rows: by value, then by layer.
+    s = (d - 1).bit_length()
+    keys = cols.astype(np.int32 if n << s < 2**31 else np.int64) << s
+    keys |= np.arange(d, dtype=keys.dtype)
     keys.sort(axis=1)
-    vals = keys // d
+    vals = keys >> s
     repeat = vals[:, 1:] == vals[:, :-1]
     rows = np.nonzero(repeat)[0]
     # Per-row stacks of repeated layers: row i's are stack[i, :top[i]].
     top = np.bincount(rows, minlength=n)
-    stack = np.zeros((n, top.max()), dtype=np.int64)
-    stack[rows, np.arange(rows.size) - (np.cumsum(top) - top)[rows]] = keys[:, 1:][repeat] % d
+    stack = np.zeros((n, top.max()), dtype=np.int32)
+    stack[rows, np.arange(rows.size) - (np.cumsum(top) - top)[rows]] = (
+        keys[:, 1:][repeat] & ((1 << s) - 1)
+    )
     if n <= _TABLE_RATIO * d:
         counts = np.zeros((n, n), dtype=np.min_scalar_type(d))
         counts[np.arange(n)[:, None], cols] = 1

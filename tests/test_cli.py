@@ -1,7 +1,10 @@
 import csv
 import json
+import os
 import platform
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 import scipy
 import yaml
 
+import sparselv
 from sparselv import SweepConfig, __version__
 from sparselv.cli import EXIT_INVALID_CONFIG, EXIT_NUMERICAL_FAILURE, main
 from sparselv.patterns import load_pattern
@@ -256,6 +260,12 @@ class TestExitCodes:
         path.write_text("- 1\n- 2\n")
         assert main(["sweep", "--config", str(path)]) == EXIT_INVALID_CONFIG
 
+    def test_malformed_yaml(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text("n: [1, 2\n")
+        assert main(["sweep", "--config", str(path)]) == EXIT_INVALID_CONFIG
+        assert "error: config file is not valid YAML" in capsys.readouterr().err
+
     def test_numerical_failure(self, capsys):
         # far below the threshold the fixed-point iteration diverges
         code = main(["solve", "--n", "60", "--d", "6", "--kappa", "0.1"])
@@ -322,3 +332,21 @@ def test_readme_lists_every_config_key():
     cli_section = readme.split("\n## CLI\n")[1].split("\n## ")[0]
     listed = re.findall(r"^- `(\w+)`:", cli_section, flags=re.MULTILINE)
     assert sorted(listed) == sorted(f.name for f in fields(SweepConfig))
+
+
+def test_import_loads_no_ode_or_yaml():
+    """A fresh ``import sparselv`` leaves scipy.integrate, scipy.optimize
+    and yaml unloaded (only the ODE paths and --config need them), and
+    loads scipy.sparse.csgraph, so that forked spectrum workers inherit it."""
+    src = str(Path(sparselv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = (
+        "import sys, sparselv, sparselv.cli, sparselv.experiments\n"
+        "names = ('scipy.integrate', 'scipy.optimize', 'yaml', 'scipy.sparse.csgraph')\n"
+        "print(' '.join(m for m in names if m in sys.modules))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.split() == ["scipy.sparse.csgraph"]

@@ -211,6 +211,13 @@ FROZEN_DIGESTS = {
     (2000, 1000, 0): "5775473049f421bda17b40fa1ba9a25338ddfead004e04bba35309e15c68f17f",
     (600, 500, 7): "a222d779b37321646a48a089e28cba5592fff6ed9020e4bedb754ef708c0f829",
     (5000, 40, 3): "1ae0fff1debc81f3e4eab6a0cd3588ca5b276a815451fb2ef720c23d2cad1749",
+    # Recorded while the repair keys were value * d + layer in int64.  They
+    # are now value << s | layer, s = (d - 1).bit_length(); these d step s
+    # through 0, 1, 5 and 6, on the scan and the table paths.
+    (300, 1, 0): "f8ca23d3f564963b2eaaa6bd00f5950c2cfe3ab0a59f9902c34d895f5261b450",
+    (300, 2, 4): "ba668840f93f0e22940430ee1d0e74b76cc7beeba5d5dbb8cf429d3c85a15eba",
+    (300, 17, 5): "fb7aa1546953dc9d43f07fa9953c515a38a12184b8b310927b8261660de423f6",
+    (3000, 33, 6): "3b6b1a89198b664d8f3885f7c7d349b8c38a24e7f58d5b2b5b7e95b8f5370c13",
 }
 
 
