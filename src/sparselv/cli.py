@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: pattern, solve, sweep, histogram, dynamics, spectrum, gap.
-Outputs are plot-ready CSV or JSON; file outputs get a meta.json sidecar
-with the run's provenance: config echo, workers, BLAS threads, version
-and wall time.  Exit codes: 0 success, 2 invalid config, 3 numerical
-failure.
+Outputs are plot-ready CSV or JSON, and only this module decides their
+formats; the layers below return numbers and dict rows.  File outputs get
+a meta.json sidecar with the run's provenance: config echo, workers, BLAS
+threads, version and wall time.  Exit codes: 0 success, 2 invalid config,
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -43,8 +44,24 @@ EXIT_INVALID_CONFIG = 2
 EXIT_NUMERICAL_FAILURE = 3
 
 
+SOLVE_COLUMNS = (
+    "feasible", "min_x", "argmin", "min_Z", "residual_inf", "alpha", "n", "d", "seed",
+)
+SWEEP_COLUMNS = (
+    "kappa",
+    "alpha",
+    "trials",
+    "feasible_count",
+    "diverged",
+    "feasible_fraction",
+    "mean_min_x",
+    "mean_max_R_normalized",
+)
+SPECTRUM_COLUMNS = ("trial", "max_real_part", "localization_error", "min_x")
+
+
 _SHARED_FLAGS = {
-    "--seed": dict(type=int, default=0, help="master seed"),
+    "--seed": dict(type=int, help="master seed (default: the config file's, else 0)"),
     "--threads": dict(
         type=int, default=1,
         help="worker processes; their trials run on one BLAS thread each",
@@ -74,8 +91,8 @@ def _load_config(args, **overrides) -> SweepConfig:
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file must be a flat mapping, got {type(loaded).__name__}")
         mapping.update(loaded)
-    if "master_seed" not in mapping:
-        mapping["master_seed"] = args.seed
+    # A flag overrides the file; SweepConfig defaults master_seed to 0.
+    overrides["master_seed"] = args.seed
     mapping.update({k: v for k, v in overrides.items() if v is not None})
     return SweepConfig.from_mapping(mapping)
 
@@ -96,28 +113,34 @@ def _json_text(obj) -> str:
     return json.dumps(_finite(obj), indent=2, allow_nan=False) + "\n"
 
 
-def _write_text(args, text, meta=None):
-    """Write ``text`` to ``--out`` (plus the meta.json sidecar) or stdout."""
-    if args.out:
-        with open(args.out, "w") as f:
+def _csv_text(header, rows) -> str:
+    """CSV text: the header line, then one line per row in header order."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _write_text(path, text, meta=None):
+    """Write ``text`` to ``path`` (plus the meta.json sidecar), or to stdout."""
+    if path:
+        with open(path, "w") as f:
             f.write(text)
         if meta is not None:
-            with open(args.out + ".meta.json", "w") as f:
+            with open(path + ".meta.json", "w") as f:
                 f.write(_json_text(meta))
     else:
         sys.stdout.write(text)
 
 
 def _write_rows(args, header, rows, meta=None):
+    """Rows in ``header`` order, as CSV or as a JSON list of objects."""
     if args.format == "json":
         text = _json_text([dict(zip(header, row)) for row in rows])
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
-    _write_text(args, text, meta)
+        text = _csv_text(header, rows)
+    _write_text(args.out, text, meta)
 
 
 def cmd_pattern(args) -> int:
@@ -126,7 +149,7 @@ def cmd_pattern(args) -> int:
         args, n=args.n, d=args.d, model=args.model, beta=args.beta,
     )
     pattern = build_pattern(cfg, pattern_seed(cfg.master_seed))
-    _write_text(args, pattern_text(pattern), _provenance(cfg, t0))
+    _write_text(args.out, pattern_text(pattern), _provenance(cfg, t0))
     return 0
 
 
@@ -153,19 +176,20 @@ def cmd_solve(args) -> int:
         )
         return EXIT_NUMERICAL_FAILURE
     meta = _provenance(cfg, t0)
+    row = [getattr(report, c) for c in SOLVE_COLUMNS]
     if args.format == "json" or args.full_state:
-        _write_text(args, report.to_json(full_state=args.full_state) + "\n", meta)
+        payload = {"x": report.x.tolist()} if args.full_state else {}
+        payload.update(zip(SOLVE_COLUMNS, row))
+        _write_text(args.out, _json_text(payload), meta)
     else:
-        scalars = report.scalar_dict()
-        _write_rows(args, list(scalars), [tuple(scalars.values())], meta)
+        _write_rows(args, SOLVE_COLUMNS, [row], meta)
     return 0
 
 
 def cmd_sweep(args) -> int:
     result = run_feasibility_sweep(_load_config(args), workers=args.threads)
-    header = list(result.CSV_COLUMNS)
-    rows = [tuple(r[c] for c in header) for r in result.rows]
-    _write_rows(args, header, rows, result.provenance)
+    rows = [[r[c] for c in SWEEP_COLUMNS] for r in result.rows]
+    _write_rows(args, SWEEP_COLUMNS, rows, result.provenance)
     return 0
 
 
@@ -173,7 +197,8 @@ def cmd_histogram(args) -> int:
     result = run_abundance_histogram(
         _load_config(args), args.kappa, bins=args.bins, workers=args.threads
     )
-    header, rows = result.bin_rows()
+    edges = result.bin_edges.tolist()
+    rows = list(zip(edges[:-1], edges[1:], result.counts.tolist()))
     meta = {
         **result.provenance,
         "mean": result.mean,
@@ -181,7 +206,7 @@ def cmd_histogram(args) -> int:
         "pooled": result.pooled,
         "diverged": result.diverged,
     }
-    _write_rows(args, header, rows, meta)
+    _write_rows(args, ("bin_left", "bin_right", "count"), rows, meta)
     return 0
 
 
@@ -190,25 +215,23 @@ def cmd_dynamics(args) -> int:
     header, rows = trace.record.series_rows()
     _write_rows(args, header, rows, trace.provenance)
     if args.out:
-        t_header, t_rows = trace.trace_rows()
-        with open(args.out + ".traces.csv", "w") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(t_header)
-            writer.writerows(t_rows)
+        # One row per traced species: its index, then its abundance at each time.
+        t_header = ["species"] + [f"t={t:g}" for t in trace.record.times]
+        t_rows = zip(trace.species_indices.tolist(), *trace.species_traces.T.tolist())
+        _write_text(args.out + ".traces.csv", _csv_text(t_header, t_rows))
     return 0
 
 
 def cmd_spectrum(args) -> int:
     result = run_spectrum_check(_load_config(args), args.kappa, workers=args.threads)
-    header = list(result.CSV_COLUMNS)
-    rows = [tuple(r[c] for c in header) for r in result.rows]
+    rows = [[r[c] for c in SPECTRUM_COLUMNS] for r in result.rows]
     meta = {
         **result.provenance,
         "skipped": result.skipped,
         "mean_max_real_part": result.mean_max_real_part,
         "mean_localization_error": result.mean_localization_error,
     }
-    _write_rows(args, header, rows, meta)
+    _write_rows(args, SPECTRUM_COLUMNS, rows, meta)
     return 0
 
 
@@ -283,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--model", choices=tuple(m for m in MODELS if m != "proportional"),
         default="general_regular",
     )
-    p.set_defaults(func=cmd_gap)
+    p.set_defaults(func=cmd_gap, seed=0)
     return parser
 
 

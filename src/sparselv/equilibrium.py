@@ -11,9 +11,7 @@ found either by support pivoting or as the long-time ODE limit.
 
 from __future__ import annotations
 
-import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,25 +61,6 @@ class EquilibriumReport:
     n: int
     d: int
     seed: int | None
-
-    def scalar_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "min_x": self.min_x,
-            "argmin": self.argmin,
-            "min_Z": self.min_Z,
-            "residual_inf": self.residual_inf,
-            "alpha": self.alpha,
-            "n": self.n,
-            "d": self.d,
-            "seed": self.seed,
-        }
-
-    def to_json(self, full_state: bool = False) -> str:
-        payload = self.scalar_dict()
-        if full_state:
-            payload = {"x": self.x.tolist(), **payload}
-        return json.dumps(payload)
 
 
 @dataclass(frozen=True)
@@ -264,18 +243,23 @@ def _refine_support(
 
 def _ode_limit_support(M: InteractionMatrix, tol: float) -> np.ndarray:
     """Indices of the species above the extinction cutoff once the
-    dynamics from x0 = 1/2 are quiescent, or at t = 500."""
-    from .dynamics import integrate_lv, lv_field
+    dynamics from x0 = 1/2 are quiescent, at t = 500, or as soon as a
+    species reaches 0 (integration needs a strictly positive state).
+    Raises :class:`EquilibriumError` when the dynamics blow up."""
+    from .dynamics import IntegrationError, integrate_lv, lv_field
 
     quiescence = max(tol, 1e-10)
     x0 = np.full(M.n, 0.5)
     t = 0.0
     chunk = 50.0
     while t < 500.0:
-        tr = integrate_lv(M, x0, chunk, sample_count=2)
+        try:
+            tr = integrate_lv(M, x0, chunk, sample_count=2)
+        except IntegrationError as exc:
+            raise EquilibriumError(f"ode_limit: the dynamics from x0 = 1/2 failed: {exc}") from exc
         x0 = tr.final_state
         t += chunk
-        if np.max(np.abs(lv_field(M, x0))) < quiescence:
+        if (x0 <= 0.0).any() or np.max(np.abs(lv_field(M, x0))) < quiescence:
             break
     return np.flatnonzero(x0 >= ODE_EXTINCTION_CUTOFF)
 
@@ -288,33 +272,27 @@ def saturated_equilibrium(
     """Unique nonnegative equilibrium of the complementarity system
     x_k (1 - x_k + (Mx)_k) = 0, x >= 0.
 
-    ``method="pivoting"`` refines the survivor support directly;
+    ``method="pivoting"`` refines the survivor support directly, starting
+    from all species;
     ``method="ode_limit"`` integrates the dynamics from the all-1/2 state
     until quiescence and reads the support off the limit (species below
-    the extinction cutoff are dropped), then polishes the abundances by a
-    linear solve on that support.  Both routes verify the complementarity
-    residual and the invasion (KKT) condition for extinct species, and
-    raise :class:`EquilibriumError` on failure.
+    the extinction cutoff are dropped), then refines it the same way.
+    Both routes verify the complementarity residual and the invasion (KKT)
+    condition for extinct species.  They raise :class:`EquilibriumError`
+    when a check fails, when the refinement does not settle, or when the
+    dynamics blow up; neither falls back to the other.
     """
     if method not in ("pivoting", "ode_limit"):
         raise ValueError(f"unknown method {method!r}")
     M_dense = M.dense()
     if method == "pivoting":
         start = np.ones(M.n, dtype=bool)
-        refined = _refine_support(M_dense, start)
-        if refined is None:
-            warnings.warn(
-                "pivoting failed to settle a support; falling back to ode_limit",
-                RuntimeWarning,
-            )
-            method = "ode_limit"
-    if method == "ode_limit":
+    else:
         start = np.zeros(M.n, dtype=bool)
         start[_ode_limit_support(M, tol)] = True
-        refined = _refine_support(M_dense, start)
+    refined = _refine_support(M_dense, start)
     if refined is None:
-        raise EquilibriumError(
-            f"support refinement did not converge (method={method})"
-        )
+        hint = '; method="ode_limit" starts from the dynamics' if method == "pivoting" else ""
+        raise EquilibriumError(f"support refinement did not settle (method={method}){hint}")
     idx, x = refined
     return _checked_saturated(x, M_dense, tol, method)

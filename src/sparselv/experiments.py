@@ -41,6 +41,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, asdict
+from numbers import Integral, Real
 
 import numpy as np
 import scipy
@@ -98,6 +99,18 @@ class SweepConfig:
     t_end: float = 50.0
 
     def __post_init__(self):
+        # Types first: YAML reads n: 100.0 or fix_pattern: 'no' without complaint.
+        # bool is an Integral, so it is refused where a number is meant.
+        typed = [(name, getattr(self, name), Integral)
+                 for name in ("n", "d", "trials_per_point", "master_seed")]
+        typed += [("t_end", self.t_end, Real), ("fix_pattern", self.fix_pattern, bool)]
+        typed += [("kappa_grid entry", k, Real) for k in self.kappa_grid]
+        if self.beta is not None:
+            typed.append(("beta", self.beta, Real))
+        for name, value, kind in typed:
+            if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
+                what = {Integral: "an integer", Real: "a number", bool: "true or false"}[kind]
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
         if self.model not in MODELS:
@@ -318,17 +331,6 @@ class SweepResult:
     rows: list[dict]
     provenance: dict
 
-    CSV_COLUMNS = (
-        "kappa",
-        "alpha",
-        "trials",
-        "feasible_count",
-        "diverged",
-        "feasible_fraction",
-        "mean_min_x",
-        "mean_max_R_normalized",
-    )
-
 
 def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     """Feasibility fraction per kappa over seeded trials.
@@ -398,14 +400,6 @@ class HistogramResult:
     diverged: int
     provenance: dict
 
-    def bin_rows(self):
-        header = ["bin_left", "bin_right", "count"]
-        rows = [
-            (float(self.bin_edges[i]), float(self.bin_edges[i + 1]), int(c))
-            for i, c in enumerate(self.counts)
-        ]
-        return header, rows
-
 
 def run_abundance_histogram(
     cfg: SweepConfig, kappa: float, bins: int = 60, workers: int = 1
@@ -463,16 +457,6 @@ class DynamicsTrace:
     alpha: float
     provenance: dict
 
-    def trace_rows(self):
-        """One row per selected species: index followed by its abundances
-        at the sample times."""
-        header = ["species"] + [f"t={t:g}" for t in self.record.times]
-        rows = [
-            (int(idx), *map(float, self.species_traces[i]))
-            for i, idx in enumerate(self.species_indices)
-        ]
-        return header, rows
-
 
 def run_dynamics_trace(cfg: SweepConfig, kappa: float) -> DynamicsTrace:
     """Integrate one seeded trial from x0 = 1/2, sampled at 201 times, and
@@ -509,8 +493,6 @@ class SpectrumSweepResult:
     mean_max_real_part: float
     mean_localization_error: float
     provenance: dict
-
-    CSV_COLUMNS = ("trial", "max_real_part", "localization_error", "min_x")
 
 
 def _spectrum_trial(trial: int) -> dict | None:

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -15,7 +16,7 @@ import yaml
 
 import sparselv
 from sparselv import SweepConfig, __version__
-from sparselv.cli import EXIT_INVALID_CONFIG, EXIT_NUMERICAL_FAILURE, main
+from sparselv.cli import EXIT_INVALID_CONFIG, EXIT_NUMERICAL_FAILURE, SOLVE_COLUMNS, main
 from sparselv.patterns import load_pattern
 
 
@@ -73,6 +74,7 @@ class TestSolve:
     def test_full_state(self, capsys):
         assert main(self.ARGS + ["--full-state"]) == 0
         payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["x", *SOLVE_COLUMNS]
         assert len(payload["x"]) == 60
 
     def test_kappa_grid_needs_kappa_flag(self, tmp_path, capsys):
@@ -142,6 +144,30 @@ class TestSweep:
         out_c = str(tmp_path / "c.csv")
         main(["sweep", "--config", cfg, "--seed", "2", "--out", out_c])
         assert open(out_a).read() != open(out_c).read()
+
+
+    def test_seed_flag_overrides_config_seed(self, tmp_path):
+        cfg = write_config(tmp_path, n=60, d=6, kappa_grid=[8.0], trials_per_point=2,
+                           master_seed=0)
+        outs = {}
+        for flags in ([], ["--seed", "0"], ["--seed", "5"]):
+            out = tmp_path / f"sweep{len(outs)}.csv"
+            assert main(["sweep", "--config", cfg, *flags, "--out", str(out)]) == 0
+            seed = json.loads(open(f"{out}.meta.json").read())["config"]["master_seed"]
+            outs[tuple(flags)] = (out.read_text(), seed)
+        assert outs[()] == outs[("--seed", "0")]
+        text, seed = outs[("--seed", "5")]
+        assert seed == 5 and text != outs[()][0]
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["trials_per_point: 2.5", "master_seed: 1.5", "fix_pattern: 'no'", "n: 100.0", "n: true"],
+    )
+    def test_config_value_of_wrong_type(self, entry, tmp_path, capsys):
+        (field, value), = yaml.safe_load(entry).items()
+        cfg = write_config(tmp_path, **{"n": 60, "d": 6, field: value})
+        assert main(["sweep", "--config", cfg]) == EXIT_INVALID_CONFIG
+        assert f"error: {field} must be" in capsys.readouterr().err
 
 
 class TestHistogram:
@@ -350,3 +376,21 @@ def test_import_loads_no_ode_or_yaml():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.split() == ["scipy.sparse.csgraph"]
+
+
+def test_only_the_cli_imports_format_modules():
+    """Output formats are the CLI's decision: no other module of the package
+    imports json, csv, io or yaml, at module scope or inside a function."""
+    formats = {"json", "csv", "io", "yaml"}
+    importers = set()
+    for path in Path(sparselv.__file__).resolve().parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = {node.module.split(".")[0]}
+            else:
+                continue
+            if names & formats:
+                importers.add(path.name)
+    assert importers == {"cli.py"}

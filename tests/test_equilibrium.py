@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -8,6 +7,7 @@ from scipy import stats
 
 from sparselv import (
     DivergenceError,
+    EquilibriumError,
     assemble,
     block_permutation_pattern,
     extreme_value_stat,
@@ -17,6 +17,7 @@ from sparselv import (
     saturated_equilibrium,
     solve_feasibility,
 )
+from sparselv.experiments import SweepConfig, build_pattern, pattern_seed, trial_seed
 from _helpers import (
     forced, off_diagonal_2x2, ones_full, rotation_2x2, upper_2x2, zero_matrix,
 )
@@ -94,16 +95,6 @@ class TestSolveFeasibility:
             lo = 1.0 + rep.min_Z / a + rep.R.min() / a**2
             hi = 1.0 + rep.min_Z / a + rep.R.max() / a**2
             assert lo - 1e-12 <= rep.min_x <= hi + 1e-12
-
-    def test_json_export(self):
-        rep = solve_feasibility(zero_matrix(3))
-        payload = json.loads(rep.to_json())
-        assert set(payload) == {
-            "feasible", "min_x", "argmin", "min_Z", "residual_inf",
-            "alpha", "n", "d", "seed",
-        }
-        full = json.loads(rep.to_json(full_state=True))
-        assert full["x"] == [1.0, 1.0, 1.0]
 
 
 def reference_neumann(M, tol=1e-12, max_iter=10_000):
@@ -277,6 +268,26 @@ class TestSaturatedEquilibrium:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             saturated_equilibrium(zero_matrix(2), method="lemke")
+
+    def test_failures_raise_equilibrium_error(self):
+        # One draw far below the threshold (n=100, d=10, block pattern) on
+        # which pivoting from all species cycles without settling.
+        cfg = SweepConfig(n=100, d=10, master_seed=1)
+        pattern = build_pattern(cfg, pattern_seed(1, 2))
+
+        def draw(kappa):
+            return assemble(pattern, cfg.alpha(kappa), trial_seed(1, 0, 2))
+
+        for kappa in (0.3, 0.5):
+            with pytest.raises(EquilibriumError, match='method="ode_limit"'):
+                saturated_equilibrium(draw(kappa))
+        # At kappa=0.3 the dynamics blow up as well.
+        with pytest.raises(EquilibriumError, match="dynamics from x0 = 1/2 failed"):
+            saturated_equilibrium(draw(0.3), method="ode_limit")
+        # At kappa=0.5 a species reaches 0 on the way, and the support read
+        # there refines to the equilibrium.
+        sat = saturated_equilibrium(draw(0.5), method="ode_limit")
+        assert len(sat.survivors) == 90 and sat.method == "ode_limit"
 
 
 class TestStatisticalProperties:

@@ -79,6 +79,30 @@ class TestSweepConfig:
         with pytest.raises(ConfigError):
             SweepConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 100.0),
+            ("n", True),
+            ("d", 6.0),
+            ("trials_per_point", 2.5),
+            ("master_seed", 1.5),
+            ("fix_pattern", "no"),
+            ("fix_pattern", 1),
+            ("t_end", "50"),
+            ("kappa_grid", [2.0, True]),
+        ],
+    )
+    def test_rejects_wrong_type(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}"):
+            SweepConfig(**{"n": 60, "d": 6, field: value})
+
+    def test_numpy_scalars_accepted(self):
+        cfg = SweepConfig(n=np.int64(60), d=np.int32(6), kappa_grid=[np.float64(2.0)],
+                          trials_per_point=np.int64(2), master_seed=np.uint64(3))
+        assert cfg.kappa_grid == [2.0] and cfg.n == 60
+        assert SweepConfig(n=40, model="proportional", beta=np.float32(0.25)).d == 10
+
     def test_from_mapping_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown"):
             SweepConfig.from_mapping({"n": 10, "d": 2, "kapa_grid": [2.0]})
@@ -145,7 +169,7 @@ class TestFeasibilitySweep:
         result = run_feasibility_sweep(SweepConfig(**self.CFG))
         assert [r["kappa"] for r in result.rows] == [0.5, 8.0]
         for row in result.rows:
-            assert set(row) >= set(result.CSV_COLUMNS)
+            assert set(row) >= set(cli.SWEEP_COLUMNS)
             assert row["trials"] == 8
             assert row["feasible_count"] + row["diverged"] <= 8
         low, high = result.rows
@@ -229,8 +253,6 @@ class TestDynamicsTrace:
         trace = run_dynamics_trace(cfg, kappa=8.0)
         assert trace.species_traces.shape == (10, 201) == (10, len(trace.record.times))
         assert len(set(trace.species_indices.tolist())) == 10
-        header, rows = trace.trace_rows()
-        assert header[0] == "species" and len(rows) == 10
         # feasible regime: trajectory closes in on the linear equilibrium
         assert trace.record.distance_series is not None
         assert trace.record.distance_series[-1] < 1e-6
@@ -275,6 +297,36 @@ class TestSpectrumCheck:
         assert len(serial.rows) == 3
         assert json.dumps(serial.rows) == json.dumps(pooled.rows)
         assert (serial.provenance["workers"], pooled.provenance["workers"]) == (1, 2)
+
+
+class TestPerTrialPattern:
+    """fix_pattern=False, the path of the hist_general benchmark: every
+    trial draws its own general d-regular pattern."""
+
+    CFG = dict(n=120, d=6, model="general_regular", fix_pattern=False,
+               kappa_grid=[1.5, 8.0], trials_per_point=4, master_seed=7)
+
+    def test_worker_count_invariant(self):
+        cfg = SweepConfig(**self.CFG)
+        sweeps = [run_feasibility_sweep(cfg, workers=w) for w in (1, 2)]
+        assert repr(sweeps[0].rows) == repr(sweeps[1].rows)
+        hists = [run_abundance_histogram(cfg, kappa=8.0, workers=w) for w in (1, 2)]
+        assert hists[0].counts.tobytes() == hists[1].counts.tobytes()
+        assert repr((hists[0].mean, hists[0].variance)) == repr((hists[1].mean, hists[1].variance))
+
+    def test_trial_t_builds_from_its_pattern_seed(self, monkeypatch):
+        built = []
+
+        def recording(cfg, seed):
+            built.append((seed, build_pattern(cfg, seed)))
+            return built[-1][1]
+
+        monkeypatch.setattr(experiments, "build_pattern", recording)
+        result = run_abundance_histogram(SweepConfig(**self.CFG), kappa=8.0)
+        assert result.pooled == 4 * 120
+        assert [seed for seed, _ in built] == [pattern_seed(7, t) for t in range(4)]
+        rows = {pattern.row_cols.tobytes() for _, pattern in built}
+        assert len(rows) == 4
 
 
 # Trial functions for run_trials; module level, so a pool can pickle them.
