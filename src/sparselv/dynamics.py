@@ -1,12 +1,15 @@
 """Lotka-Volterra dynamics, trajectory records and Jacobian stability.
 
 The vector field is dx_k/dt = x_k (1 - x_k + (Mx)_k) with unit intrinsic
-growth.  Integration uses an explicit adaptive embedded 4(5) Runge-Kutta
-pair; the field is non-stiff in the regimes of interest (equilibrium
-Jacobian eigenvalues are O(1) negative), so stiffness shows up as an
-abort, never as silent degradation.  Jacobian spectra are computed one
-strongly connected component of the pattern at a time (for a
-block-permutation pattern, one cycle of sigma at a time).
+growth.  Integration uses the explicit adaptive Dormand-Prince 4(5)
+Runge-Kutta pair, stepped here in numpy with the arithmetic of scipy's
+RK45 (tables, initial step, error norm, step controller and dense
+output), so a run loads none of scipy's integrators; the tests keep
+``solve_ivp`` as the reference.  The field is non-stiff in the regimes
+of interest (equilibrium Jacobian eigenvalues are O(1) negative), so
+stiffness shows up as an abort, never as silent degradation.  Jacobian
+spectra are computed one strongly connected component of the pattern at
+a time (for a block-permutation pattern, one cycle of sigma at a time).
 """
 
 from __future__ import annotations
@@ -92,34 +95,24 @@ def integrate_lv(
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (M.n,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({M.n},)")
-    if (x0 <= 0).any():
-        raise ValueError("initial state must be strictly positive")
-    if t_end <= 0:
-        raise ValueError(f"t_end must be positive, got {t_end}")
-
-    # Imported here: scipy.integrate (with scipy.optimize) is a third of the
-    # package's import time, and no other path needs it.
-    from scipy.integrate import solve_ivp
+    if not np.isfinite(x0).all() or (x0 <= 0).any():
+        raise ValueError("initial state must be finite and strictly positive")
+    if not 0 < t_end < np.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
 
     t_eval = np.linspace(0.0, t_end, max(2, sample_count))
-    sol = solve_ivp(
-        lambda t, x: lv_field(M, x),
-        (0.0, t_end),
-        x0,
-        method="RK45",
-        t_eval=t_eval,
-        rtol=rel_tol,
-        atol=abs_tol,
+    states, t_stop = _dormand_prince(
+        lambda x: lv_field(M, x), x0, float(t_end), rel_tol, abs_tol, t_eval
     )
-    states = sol.y  # (n, T)
-    record = _make_record(M, sol.t, states, reference, abs_tol)
-    if not sol.success:
+    samples = states.shape[1]
+    record = _make_record(M, t_eval[:samples], states, reference, abs_tol) if samples else None
+    if t_stop < t_end:
         raise IntegrationError(
-            f"integration aborted at t={sol.t[-1] if len(sol.t) else 0.0:.3g}: "
-            f"{sol.message}",
+            f"integration aborted at t={t_stop:.5g}: Required step size is less "
+            "than spacing between numbers.",
             record=record,
         )
-    if states.size and states.min() < -10.0 * abs_tol:
+    if states.min() < -10.0 * abs_tol:
         raise IntegrationError(
             f"persistent negative state (min {states.min():.3e}) encountered",
             record=record,
@@ -127,9 +120,94 @@ def integrate_lv(
     return record
 
 
+# Dormand-Prince 5(4) tables (Dormand & Prince 1980) with Shampine's (1986)
+# quartic dense output: the tables of scipy's RK45.  The field does not
+# depend on t, so the stage times C are not needed.
+_DP_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
+
+
+def _rms(v):
+    return np.linalg.norm(v) / v.size ** 0.5
+
+
+def _dormand_prince(fun, y, t_bound, rtol, atol, t_eval):
+    """Integrate the autonomous y' = fun(y) from t = 0 to ``t_bound`` and
+    sample the dense output at ``t_eval`` (sorted, within [0, t_bound]).
+
+    Step by step the arithmetic, and its order, is scipy's RK45: the
+    initial step of Hairer, Norsett & Wanner (II.4), the RMS error norm,
+    the controller with safety 0.9 and factors in [0.2, 10], and a step
+    cut whenever the error norm is not below 1 (a NaN included).  Returns
+    the (n, k) samples reached and the time the integration stopped at,
+    which is below ``t_bound`` when the step fell under ten float spacings.
+    """
+    rtol = max(rtol, 100 * np.finfo(float).eps)
+    f = fun(y)
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = _rms(y / scale), _rms(f / scale)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_bound)
+    d2 = _rms((fun(y + h0 * f) - f) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    h_abs = min(100 * h0, h1, t_bound)
+
+    K = np.empty((7, y.size))
+    states = np.empty((y.size, t_eval.size))
+    t, done = 0.0, 0
+    while t < t_bound:
+        min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                return np.ascontiguousarray(states[:, :done]), t
+            t_new = min(t + h_abs, t_bound)
+            h = t_new - t
+            h_abs = np.abs(h)
+            K[0] = f
+            for s in range(1, 6):
+                K[s] = fun(y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
+            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+            K[-1] = f_new = fun(y_new)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            err = _rms(np.dot(K.T, _DP_E) * h / scale)
+            if err < 1:
+                factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
+                h_abs *= min(1, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.2)
+            rejected = True
+        t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
+        upto = np.searchsorted(t_eval, t, side="right")
+        if upto > done:
+            p = np.cumprod(np.tile((t_eval[done:upto] - t_old) / (t - t_old), (4, 1)), axis=0)
+            states[:, done:upto] = (t - t_old) * np.dot(K.T.dot(_DP_P), p) + y_old[:, None]
+            done = upto
+    return states, t
+
+
 def _make_record(M, times, states, reference, abs_tol):
-    if states.size == 0:
-        raise IntegrationError("integrator produced no samples")
     final_state = states[:, -1]
     distance = None
     if reference is not None:

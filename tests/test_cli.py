@@ -360,22 +360,41 @@ def test_readme_lists_every_config_key():
     assert sorted(listed) == sorted(f.name for f in fields(SweepConfig))
 
 
-def test_import_loads_no_ode_or_yaml():
-    """A fresh ``import sparselv`` leaves scipy.integrate, scipy.optimize
-    and yaml unloaded (only the ODE paths and --config need them), and
-    loads scipy.sparse.csgraph, so that forked spectrum workers inherit it."""
+def _modules_loaded_after(code, names):
+    """The ``names`` that a fresh interpreter has loaded after running ``code``."""
     src = str(Path(sparselv.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = (
-        "import sys, sparselv, sparselv.cli, sparselv.experiments\n"
-        "names = ('scipy.integrate', 'scipy.optimize', 'yaml', 'scipy.sparse.csgraph')\n"
-        "print(' '.join(m for m in names if m in sys.modules))\n"
-    )
-    out = subprocess.run(
+    code += f"\nimport sys\nprint(' '.join(m for m in {names!r} if m in sys.modules))\n"
+    return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.split() == ["scipy.sparse.csgraph"]
+    ).stdout.split()
+
+
+def test_import_loads_no_ode_or_yaml():
+    """A fresh ``import sparselv`` leaves scipy.integrate, scipy.optimize
+    and yaml unloaded (only --config needs yaml), and loads
+    scipy.sparse.csgraph, so that forked spectrum workers inherit it."""
+    code = "import sparselv, sparselv.cli, sparselv.experiments"
+    names = ("scipy.integrate", "scipy.optimize", "yaml", "scipy.sparse.csgraph")
+    assert _modules_loaded_after(code, names) == ["scipy.sparse.csgraph"]
+
+
+def test_ode_paths_load_no_integrator_library():
+    """Integrating the dynamics (a dynamics trace, and the ODE route of
+    saturated_equilibrium) loads none of scipy's integrate, optimize or
+    special: the Dormand-Prince stepper is the package's own."""
+    code = (
+        "from sparselv import assemble, saturated_equilibrium\n"
+        "from sparselv.experiments import (SweepConfig, build_pattern, pattern_seed,\n"
+        "    run_dynamics_trace, trial_seed)\n"
+        "run_dynamics_trace(SweepConfig(n=40, d=4, t_end=5.0), 4.0)\n"
+        "cfg = SweepConfig(n=40, d=4)\n"
+        "M = assemble(build_pattern(cfg, pattern_seed(0)), cfg.alpha(4.0), trial_seed(0, 0, 0))\n"
+        "saturated_equilibrium(M, method='ode_limit')\n"
+    )
+    names = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse.csgraph")
+    assert _modules_loaded_after(code, names) == ["scipy.sparse.csgraph"]
 
 
 def test_only_the_cli_imports_format_modules():

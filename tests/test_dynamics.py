@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparselv import dynamics
+from sparselv.experiments import SweepConfig, build_pattern, pattern_seed, trial_seed
 from sparselv import (
     AdjacencyPattern,
     IntegrationError,
@@ -75,6 +77,20 @@ class TestIntegrateLv:
             integrate_lv(M, np.array([2.0, 2.0]), 50.0)
         assert exc_info.value.record is not None
 
+    def test_abort_reports_where_the_stepper_stopped(self):
+        # The dynamics of this draw far below the threshold blow up near
+        # t = 3.28.  The message gives that time whatever the sampling, and
+        # the partial record keeps the samples reached before it.
+        cfg = SweepConfig(n=100, d=10, master_seed=1)
+        M = assemble(build_pattern(cfg, pattern_seed(1, 2)), cfg.alpha(0.3), trial_seed(1, 0, 2))
+        for samples, last in ((2, 0.0), (201, 3.25), (5001, 3.28)):
+            with pytest.raises(IntegrationError, match=r"aborted at t=3\.2827: ") as exc_info:
+                integrate_lv(M, np.full(100, 0.5), 50.0, sample_count=samples)
+            record = exc_info.value.record
+            assert record.times[-1] == pytest.approx(last, abs=1e-12)
+            assert record.states.shape == (100, record.times.size)
+            np.testing.assert_array_equal(record.states[:, 0], 0.5)
+
     def test_input_validation(self):
         M = zero_matrix(3)
         with pytest.raises(ValueError):
@@ -82,7 +98,62 @@ class TestIntegrateLv:
         with pytest.raises(ValueError):
             integrate_lv(M, np.array([1.0, 0.0, 1.0]), 1.0)
         with pytest.raises(ValueError):
-            integrate_lv(M, np.ones(3), 0.0)
+            integrate_lv(M, np.array([1.0, np.nan, 1.0]), 1.0)
+        with pytest.raises(ValueError):
+            integrate_lv(M, np.array([1.0, np.inf, 1.0]), 1.0)
+        for t_end in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                integrate_lv(M, np.ones(3), t_end)
+
+
+class TestDormandPrince:
+    """The in-package stepper against scipy's RK45, the reference it follows."""
+
+    def test_tables_are_rk45s(self):
+        from scipy.integrate import RK45
+
+        np.testing.assert_array_equal(dynamics._DP_A, RK45.A)
+        np.testing.assert_array_equal(dynamics._DP_B, RK45.B)
+        np.testing.assert_array_equal(dynamics._DP_E, RK45.E)
+        np.testing.assert_array_equal(dynamics._DP_P, RK45.P)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        model=st.sampled_from(["block_permutation", "general_regular", "proportional"]),
+        n=st.integers(2, 30),
+        kappa=st.floats(0.2, 8.0),
+        t_end=st.floats(0.5, 40.0),
+        sample_count=st.one_of(st.just(2), st.integers(3, 300)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_solve_ivp(self, data, model, n, kappa, t_end, sample_count, seed):
+        # Equal success flags and samples within the integration tolerance.
+        # The arithmetic is scipy's, so on a given scipy the samples are
+        # usually bit-identical; the test does not rely on that.
+        from scipy.integrate import solve_ivp
+
+        if model == "block_permutation":
+            kw = {"d": data.draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))}
+        elif model == "general_regular":
+            kw = {"d": data.draw(st.integers(1, n))}
+        else:
+            kw = {"beta": data.draw(st.floats(0.05, 1.0))}
+        cfg = SweepConfig(n=n, model=model, master_seed=seed, **kw)
+        M = assemble(build_pattern(cfg, pattern_seed(seed)), cfg.alpha(kappa), trial_seed(seed, 0, 0))
+        x0 = np.full(n, 0.5)
+        t_eval = np.linspace(0.0, t_end, sample_count)
+        states, t_stop = dynamics._dormand_prince(
+            lambda x: lv_field(M, x), x0, t_end, 1e-8, 1e-10, t_eval
+        )
+        sol = solve_ivp(lambda t, x: lv_field(M, x), (0.0, t_end), x0, method="RK45",
+                        rtol=1e-8, atol=1e-10, t_eval=t_eval)
+        assert (t_stop == t_end) == sol.success
+        ys = np.reshape(sol.y, (n, -1))  # a list when no sample was reached
+        if sol.success:
+            assert states.shape == ys.shape
+        reached = min(states.shape[1], ys.shape[1])
+        np.testing.assert_allclose(states[:, :reached], ys[:, :reached], rtol=1e-6, atol=1e-8)
 
 
 class TestJacobianSpectrum:
