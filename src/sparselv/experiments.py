@@ -9,13 +9,15 @@ across 1 and W workers.
 Every driver runs its trials through one engine,
 ``run_trials(cfg, tasks, trial_fn, workers=1, **extra)``.  It calls the
 module-level ``trial_fn(task)`` once per task, in-process when
-``workers <= 1`` and otherwise in a process pool, and returns the results
+``workers == 1`` and otherwise in a process pool, and returns the results
 in task order.  Tasks go to the pool in chunks of up to 8, small enough
 that every worker gets some.  Before the first trial each worker stores
 ``cfg`` and the ``extra`` keywords in its context ``_CTX`` and, when
 ``cfg.fix_pattern`` is set, builds the fixed pattern once.  Inside a trial,
 ``_matrix(kappa_index, trial, alpha)`` assembles the seeded interaction
 matrix on that cached pattern, or on the trial's own pattern otherwise.
+The one-trial dynamics trace is such a call too: no driver builds a
+pattern or a matrix outside a trial function.
 
 ``run_trials`` pins the bundled OpenBLAS libraries to one thread for its
 whole body (see ``one_blas_thread``), so every trial, and every eigensolve
@@ -26,8 +28,9 @@ explicitly rather than taking the default (``forkserver`` on Linux from
 Python 3.14).
 
 Each driver's ``provenance`` comes from ``_provenance``: config echo,
-driver-specific keys, worker count, BLAS threads per library, the python,
-numpy and scipy versions, package version and wall time.
+driver-specific keys, the worker count and BLAS threads per library that
+``run_trials`` returned, the python, numpy and scipy versions, package
+version and wall time.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import platform
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
@@ -135,8 +138,10 @@ class SweepConfig:
             )
         if not self.kappa_grid:
             raise ConfigError("kappa_grid must be non-empty")
-        if any(k <= 0 for k in self.kappa_grid):
-            raise ConfigError(f"kappa values must be positive: {self.kappa_grid}")
+        if not all(0 < k < math.inf for k in self.kappa_grid):
+            raise ConfigError(f"kappa must be positive and finite, got {self.kappa_grid}")
+        if not 0 < self.t_end < math.inf:
+            raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
         if self.trials_per_point < 1:
             raise ConfigError(
                 f"trials_per_point must be >= 1, got {self.trials_per_point}"
@@ -145,8 +150,8 @@ class SweepConfig:
 
     def alpha(self, kappa: float) -> float:
         """Interaction strength alpha = sqrt(kappa * log n)."""
-        if not kappa > 0:
-            raise ConfigError(f"kappa must be positive, got {kappa}")
+        if not 0 < kappa < math.inf:
+            raise ConfigError(f"kappa must be positive and finite, got {kappa}")
         if self.n < 2:
             raise ConfigError("alpha parameterization needs n >= 2")
         return math.sqrt(kappa * math.log(self.n))
@@ -262,8 +267,9 @@ def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1, **extra):
     """``[trial_fn(task) for task in tasks]``, in-process or in a pool of
     ``workers`` processes, on one BLAS thread; see the module docstring.
     Returns the results and ``{"workers", "blas_threads"}`` for the
-    provenance."""
-    workers = max(1, workers)
+    provenance.  Raises ValueError for ``workers < 1``."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     with one_blas_thread() as threads:
         if workers == 1:
             _init(cfg, extra)
@@ -389,7 +395,6 @@ def _hist_trial(trial: int) -> dict | None:
 
 @dataclass
 class HistogramResult:
-    kappa: float
     alpha: float
     bin_edges: np.ndarray
     counts: np.ndarray
@@ -430,7 +435,6 @@ def run_abundance_histogram(
     mean = sum(rec["sum"] for rec in solved) / total if total else math.nan
     variance = sum(rec["sumsq"] for rec in solved) / total - mean * mean if total else math.nan
     return HistogramResult(
-        kappa=kappa,
         alpha=alpha,
         bin_edges=edges,
         counts=counts,
@@ -451,39 +455,32 @@ def run_abundance_histogram(
 @dataclass
 class DynamicsTrace:
     record: TrajectoryRecord
-    species_indices: np.ndarray
-    species_traces: np.ndarray  # (len(species_indices), T)
-    kappa: float
-    alpha: float
+    species_indices: np.ndarray  # rows of record.states traced in full
     provenance: dict
 
 
-def run_dynamics_trace(cfg: SweepConfig, kappa: float) -> DynamicsTrace:
-    """Integrate one seeded trial from x0 = 1/2, sampled at 201 times, and
-    extract the min/max/mean series plus full traces of 10 random species.
-    The trial always uses the fixed pattern, whatever ``cfg.fix_pattern``."""
-    t0 = time.time()
-    alpha = cfg.alpha(kappa)
-    pattern = build_pattern(cfg, pattern_seed(cfg.master_seed))
-    seed = trial_seed(cfg.master_seed, 0, 0)
-    M = assemble(pattern, alpha, seed)
+def _dynamics_trial(trial: int) -> TrajectoryRecord:
+    """Trajectory of one trial from x0 = 1/2, sampled at 201 times, with the
+    distance to the equilibrium when the solve converged feasible."""
+    cfg: SweepConfig = _CTX["cfg"]
+    M = _matrix(0, trial, _CTX["alpha"])
     report = _solve(M)
     reference = report.x if report is not None and report.feasible else None
-    record = integrate_lv(
-        M, np.full(cfg.n, 0.5), cfg.t_end, sample_count=201, reference=reference
+    return integrate_lv(M, np.full(cfg.n, 0.5), cfg.t_end, sample_count=201, reference=reference)
+
+
+def run_dynamics_trace(cfg: SweepConfig, kappa: float) -> DynamicsTrace:
+    """Trajectory of trial 0 through ``run_trials`` (one task, in-process,
+    one BLAS thread), plus 10 random species whose full traces the caller
+    reads from ``record.states``.  The trial always uses the fixed
+    pattern, whatever ``cfg.fix_pattern``."""
+    t0 = time.time()
+    [record], env = run_trials(
+        replace(cfg, fix_pattern=True), [0], _dynamics_trial, alpha=cfg.alpha(kappa)
     )
     rng = np.random.default_rng(trial_seed(cfg.master_seed, 0, 1))
-    k = min(10, cfg.n)
-    indices = np.sort(rng.choice(cfg.n, size=k, replace=False))
-    traces = record.states[indices]
-    return DynamicsTrace(
-        record=record,
-        species_indices=indices,
-        species_traces=traces,
-        kappa=kappa,
-        alpha=alpha,
-        provenance=_provenance(cfg, t0, kappa=kappa),
-    )
+    indices = np.sort(rng.choice(cfg.n, size=min(10, cfg.n), replace=False))
+    return DynamicsTrace(record, indices, _provenance(cfg, t0, env, kappa=kappa))
 
 
 @dataclass

@@ -242,7 +242,7 @@ SIDECAR_CASES = {
     "spectrum": ["spectrum", "--config", "CONFIG", "--kappa", "8.0"],
     "gap": ["gap", "--n", "12", "--d", "3", "--trials", "3"],
 }
-POOLED = {"sweep", "histogram", "spectrum", "gap"}
+POOLED = {"sweep", "histogram", "dynamics", "spectrum", "gap"}
 
 
 @pytest.mark.parametrize("case", sorted(SIDECAR_CASES))
@@ -324,12 +324,22 @@ class TestExitCodes:
         assert "beta" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kappa", ["0", "-1"])
+@pytest.mark.parametrize("kappa", ["0", "-1", "inf", "nan"])
 @pytest.mark.parametrize("command", ["histogram", "dynamics", "spectrum"])
 def test_kappa_must_be_positive(command, kappa, tmp_path, capsys):
     config = write_config(tmp_path, n=60, d=6)
     assert main([command, "--config", config, f"--kappa={kappa}"]) == EXIT_INVALID_CONFIG
     assert "error: kappa must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+@pytest.mark.parametrize("command", [["sweep"], ["histogram", "--kappa", "8"],
+                                     ["spectrum", "--kappa", "8"]])
+def test_threads_must_be_positive(command, threads, tmp_path, capsys):
+    config = write_config(tmp_path, n=60, d=6)
+    argv = command + ["--config", config, "--threads", threads]
+    assert main(argv) == EXIT_INVALID_CONFIG
+    assert f"error: workers must be at least 1, got {threads}" in capsys.readouterr().err
 
 
 # Shared flags that a subcommand would accept and ignore are not registered.

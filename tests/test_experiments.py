@@ -72,6 +72,11 @@ class TestSweepConfig:
             {"n": 12, "d": 2, "model": "proportional", "beta": 0.5},
             {"n": 10, "d": 2, "kappa_grid": []},
             {"n": 10, "d": 2, "kappa_grid": [2.0, -1.0]},
+            {"n": 10, "d": 2, "kappa_grid": [math.inf]},
+            {"n": 10, "d": 2, "kappa_grid": [math.nan]},
+            {"n": 10, "d": 2, "t_end": 0.0},
+            {"n": 10, "d": 2, "t_end": -1},
+            {"n": 10, "d": 2, "t_end": math.inf},
             {"n": 10, "d": 2, "trials_per_point": 0},
         ],
     )
@@ -251,7 +256,8 @@ class TestDynamicsTrace:
     def test_trace_shapes_and_convergence(self):
         cfg = SweepConfig(n=60, d=6, master_seed=5, t_end=60.0)
         trace = run_dynamics_trace(cfg, kappa=8.0)
-        assert trace.species_traces.shape == (10, 201) == (10, len(trace.record.times))
+        assert trace.record.states[trace.species_indices].shape == (10, 201)
+        assert len(trace.record.times) == 201
         assert len(set(trace.species_indices.tolist())) == 10
         # feasible regime: trajectory closes in on the linear equilibrium
         assert trace.record.distance_series is not None
@@ -368,6 +374,21 @@ class TestRunTrials:
     def test_counts_restored_after_raise(self, workers, caller_threads):
         with pytest.raises(ValueError, match="trial 0 failed"):
             run_trials(self.CFG, range(3), _raise, workers)
+        assert experiments.blas_threads() == caller_threads
+
+    def test_dynamics_trace_runs_on_one_blas_thread(self, monkeypatch, caller_threads):
+        seen = []
+        integrate = experiments.integrate_lv
+
+        def recording(*args, **kwargs):
+            seen.append(experiments.blas_threads())
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "integrate_lv", recording)
+        trace = run_dynamics_trace(SweepConfig(n=60, d=6, t_end=5.0), kappa=8.0)
+        ones = {name: 1 for name in caller_threads}
+        assert seen == [ones]
+        assert trace.provenance["blas_threads"] == ones
         assert experiments.blas_threads() == caller_threads
 
     def test_three_tasks_spread_over_two_workers(self):
