@@ -176,7 +176,8 @@ def cmd_solve(args) -> int:
         )
         return EXIT_NUMERICAL_FAILURE
     meta = _provenance(cfg, t0)
-    row = [getattr(report, c) for c in SOLVE_COLUMNS]
+    row = [getattr(report, c) for c in SOLVE_COLUMNS[:5]]
+    row += [getattr(M, c) for c in SOLVE_COLUMNS[5:]]  # alpha, n, d, seed
     if args.format == "json" or args.full_state:
         payload = {"x": report.x.tolist()} if args.full_state else {}
         payload.update(zip(SOLVE_COLUMNS, row))

@@ -57,10 +57,6 @@ class EquilibriumReport:
     residual_inf: float
     solver_iterations: int
     converged: bool
-    alpha: float
-    n: int
-    d: int
-    seed: int | None
 
 
 @dataclass(frozen=True)
@@ -100,9 +96,8 @@ def solve_feasibility(
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    n = M.n
     csr, scale = M._unscaled_csr(), M.scale
-    x = np.ones(n)
+    x = np.ones(M.n)
     best = math.inf
     stalled = 0
     iterations = 0
@@ -144,10 +139,6 @@ def solve_feasibility(
         residual_inf=float(np.max(np.abs(x - 1.0 - M.matvec(x)))),
         solver_iterations=iterations,
         converged=converged,
-        alpha=alpha,
-        n=n,
-        d=M.d,
-        seed=M.seed,
     )
 
 

@@ -9,14 +9,17 @@ across 1 and W workers.
 Every driver runs its trials through one engine,
 ``run_trials(cfg, tasks, trial_fn, workers=1, **extra)``.  It calls the
 module-level ``trial_fn(task)`` once per task, in-process when
-``workers == 1`` and otherwise in a process pool, and returns the results
-in task order.  Tasks go to the pool in chunks of up to 8, small enough
-that every worker gets some.  Before the first trial each worker stores
-``cfg`` and the ``extra`` keywords in its context ``_CTX`` and, when
-``cfg.fix_pattern`` is set, builds the fixed pattern once.  Inside a trial,
-``_matrix(kappa_index, trial, alpha)`` assembles the seeded interaction
-matrix on that cached pattern, or on the trial's own pattern otherwise.
-The one-trial dynamics trace is such a call too: no driver builds a
+``workers == 1`` and otherwise in a pool of at most one process per task
+(which keeps the trials' memory out of the caller, even for one task), and
+returns the results in task order.  Tasks go to the pool in chunks of up
+to 8, small enough that every worker gets some.  Before the first trial
+each worker stores ``cfg`` and the ``extra`` keywords in its context
+``_CTX`` and, when ``cfg.fix_pattern`` is set, builds the fixed pattern
+once.  Inside a trial, ``_matrix(kappa_index, trial)`` assembles the
+seeded interaction matrix at the alpha of ``cfg.kappa_grid[kappa_index]``
+on that cached pattern, or on the trial's own pattern otherwise; the
+single-kappa drivers run on the grid ``[kappa]``, which their sidecars
+echo.  The one-trial dynamics trace is such a call too: no driver builds a
 pattern or a matrix outside a trial function.
 
 ``run_trials`` pins the bundled OpenBLAS libraries to one thread for its
@@ -41,6 +44,7 @@ import multiprocessing
 import os
 import platform
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -116,6 +120,8 @@ class SweepConfig:
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
         if self.n < 1:
             raise ConfigError(f"n must be >= 1, got {self.n}")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.model not in MODELS:
             raise ConfigError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.beta is not None and self.model != "proportional":
@@ -140,6 +146,8 @@ class SweepConfig:
             raise ConfigError("kappa_grid must be non-empty")
         if not all(0 < k < math.inf for k in self.kappa_grid):
             raise ConfigError(f"kappa must be positive and finite, got {self.kappa_grid}")
+        if len(set(self.kappa_grid)) < len(self.kappa_grid):
+            raise ConfigError(f"kappa_grid repeats a value: {self.kappa_grid}")
         if not 0 < self.t_end < math.inf:
             raise ConfigError(f"t_end must be positive and finite, got {self.t_end}")
         if self.trials_per_point < 1:
@@ -210,12 +218,14 @@ def _init(cfg: SweepConfig, extra: dict) -> None:
     _CTX.update(extra, cfg=cfg, pattern=fixed)
 
 
-def _matrix(kappa_index: int, trial: int, alpha: float) -> InteractionMatrix:
-    """Seeded interaction matrix of one trial on the cached or per-trial pattern."""
+def _matrix(kappa_index: int, trial: int) -> InteractionMatrix:
+    """Seeded interaction matrix of one trial, at the alpha of its grid
+    kappa, on the cached or per-trial pattern."""
     cfg: SweepConfig = _CTX["cfg"]
     pattern = _CTX["pattern"]
     if pattern is None:
         pattern = build_pattern(cfg, pattern_seed(cfg.master_seed, trial))
+    alpha = cfg.alpha(cfg.kappa_grid[kappa_index])
     return assemble(pattern, alpha, trial_seed(cfg.master_seed, kappa_index, trial))
 
 
@@ -265,9 +275,9 @@ def one_blas_thread():
 
 def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1, **extra):
     """``[trial_fn(task) for task in tasks]``, in-process or in a pool of
-    ``workers`` processes, on one BLAS thread; see the module docstring.
-    Returns the results and ``{"workers", "blas_threads"}`` for the
-    provenance.  Raises ValueError for ``workers < 1``."""
+    at most ``workers`` processes, on one BLAS thread; see the module
+    docstring.  Returns the results and the ``{"workers", "blas_threads"}``
+    that ran them, for the provenance.  Raises ValueError for ``workers < 1``."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     with one_blas_thread() as threads:
@@ -275,6 +285,8 @@ def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1, **extra):
             _init(cfg, extra)
             results = [trial_fn(t) for t in tasks]
         else:
+            # A fork pool starts all its workers at the first submit, however few the tasks.
+            workers = max(1, min(workers, len(tasks)))
             chunk = max(1, min(8, len(tasks) // (2 * workers)))
             with ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("fork"),
@@ -317,13 +329,11 @@ def _mean(values: list) -> float:
 
 
 def _sweep_trial(task: tuple[int, int]) -> dict:
-    cfg: SweepConfig = _CTX["cfg"]
-    kappa_index, trial = task
-    alpha = cfg.alpha(cfg.kappa_grid[kappa_index])
-    report = _solve(_matrix(kappa_index, trial, alpha))
+    M = _matrix(*task)
+    report = _solve(M)
     if report is None:
         return {"diverged": True, "feasible": False}
-    max_r_norm = float(np.max(np.abs(report.R))) / (alpha * math.sqrt(2.0 * math.log(cfg.n)))
+    max_r_norm = float(np.max(np.abs(report.R))) / (M.alpha * math.sqrt(2.0 * math.log(M.n)))
     return {
         "diverged": False,
         "feasible": report.feasible,
@@ -380,7 +390,7 @@ def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 def _hist_trial(trial: int) -> dict | None:
     """Histogram counts and moments of one equilibrium; None if the solve
     diverged or did not converge."""
-    report = _solve(_matrix(0, trial, _CTX["alpha"]))
+    report = _solve(_matrix(0, trial))
     if report is None:
         return None
     x = report.x
@@ -411,22 +421,19 @@ def run_abundance_histogram(
 ) -> HistogramResult:
     """Pool equilibrium abundances across trials; the sample mean and
     variance are reported for comparison against (1, 1/alpha^2)."""
+    cfg = replace(cfg, kappa_grid=[kappa])
     alpha = cfg.alpha(kappa)
     if bins < 1:
         raise ConfigError(f"bins must be >= 1, got {bins}")
     if kappa < 2.0:
-        import warnings
-
         warnings.warn(
             f"kappa={kappa} is below the feasibility threshold; the abundance "
             "histogram is meant for the feasible regime",
             RuntimeWarning,
         )
     t0 = time.time()
-    span = 8.0 / alpha
-    edges = np.linspace(1.0 - span, 1.0 + span, bins + 1)
-    tasks = range(cfg.trials_per_point)
-    results, env = run_trials(cfg, tasks, _hist_trial, workers, alpha=alpha, edges=edges)
+    edges = np.linspace(1.0 - 8.0 / alpha, 1.0 + 8.0 / alpha, bins + 1)
+    results, env = run_trials(cfg, range(cfg.trials_per_point), _hist_trial, workers, edges=edges)
 
     # Sums run in trial order, as the byte-identity across worker counts needs.
     solved = [rec for rec in results if rec is not None]
@@ -443,7 +450,7 @@ def run_abundance_histogram(
         pooled=total,
         trials=cfg.trials_per_point,
         diverged=len(results) - len(solved),
-        provenance=_provenance(cfg, t0, env, kappa=kappa, bins=bins),
+        provenance=_provenance(cfg, t0, env, bins=bins),
     )
 
 
@@ -463,7 +470,7 @@ def _dynamics_trial(trial: int) -> TrajectoryRecord:
     """Trajectory of one trial from x0 = 1/2, sampled at 201 times, with the
     distance to the equilibrium when the solve converged feasible."""
     cfg: SweepConfig = _CTX["cfg"]
-    M = _matrix(0, trial, _CTX["alpha"])
+    M = _matrix(0, trial)
     report = _solve(M)
     reference = report.x if report is not None and report.feasible else None
     return integrate_lv(M, np.full(cfg.n, 0.5), cfg.t_end, sample_count=201, reference=reference)
@@ -474,13 +481,12 @@ def run_dynamics_trace(cfg: SweepConfig, kappa: float) -> DynamicsTrace:
     one BLAS thread), plus 10 random species whose full traces the caller
     reads from ``record.states``.  The trial always uses the fixed
     pattern, whatever ``cfg.fix_pattern``."""
+    cfg = replace(cfg, kappa_grid=[kappa], fix_pattern=True)
     t0 = time.time()
-    [record], env = run_trials(
-        replace(cfg, fix_pattern=True), [0], _dynamics_trial, alpha=cfg.alpha(kappa)
-    )
+    [record], env = run_trials(cfg, [0], _dynamics_trial)
     rng = np.random.default_rng(trial_seed(cfg.master_seed, 0, 1))
     indices = np.sort(rng.choice(cfg.n, size=min(10, cfg.n), replace=False))
-    return DynamicsTrace(record, indices, _provenance(cfg, t0, env, kappa=kappa))
+    return DynamicsTrace(record, indices, _provenance(cfg, t0, env))
 
 
 @dataclass
@@ -494,7 +500,7 @@ class SpectrumSweepResult:
 
 def _spectrum_trial(trial: int) -> dict | None:
     """Jacobian spectrum row at a converged feasible equilibrium; else None."""
-    M = _matrix(0, trial, _CTX["alpha"])
+    M = _matrix(0, trial)
     report = _solve(M)
     if report is None or not report.feasible:
         return None
@@ -516,30 +522,31 @@ def run_spectrum_check(cfg: SweepConfig, kappa: float, workers: int = 1) -> Spec
     Trials run on ``workers`` processes, each eigensolve on one BLAS
     thread, so the rows are identical for every worker count.
     """
+    cfg = replace(cfg, kappa_grid=[kappa])
     t0 = time.time()
-    alpha = cfg.alpha(kappa)
-    tasks = range(cfg.trials_per_point)
-    results, env = run_trials(cfg, tasks, _spectrum_trial, workers, alpha=alpha)
+    results, env = run_trials(cfg, range(cfg.trials_per_point), _spectrum_trial, workers)
     rows = [r for r in results if r is not None]
     return SpectrumSweepResult(
         rows=rows,
         skipped=len(results) - len(rows),
         mean_max_real_part=_mean([r["max_real_part"] for r in rows]),
         mean_localization_error=_mean([r["localization_error"] for r in rows]),
-        provenance=_provenance(cfg, t0, env, kappa=kappa),
+        provenance=_provenance(cfg, t0, env),
     )
 
 
 def _gap_trial(trial: int) -> float:
-    return singular_gap(_matrix(0, trial, 1.0))
+    return singular_gap(_matrix(0, trial))
 
 
 def run_singular_gap_trials(
     n: int, d: int, trials: int, master_seed: int, model: str = "general_regular"
 ) -> list[float]:
     """Monte Carlo over the smallest consecutive singular-value gap of the
-    raw masked matrix (almost surely positive), on one fixed pattern."""
+    raw masked matrix (almost surely positive), on one fixed pattern; n >= 2."""
     cfg = SweepConfig(
         n=n, d=d, model=model, trials_per_point=trials, master_seed=master_seed,
     )
+    if cfg.n < 2:
+        raise ConfigError(f"gap needs n >= 2, got n={cfg.n}: a 1x1 matrix has no singular gap")
     return run_trials(cfg, range(trials), _gap_trial)[0]

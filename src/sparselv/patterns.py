@@ -13,7 +13,7 @@ complement of an (n - d)-regular one for d > n/2), and the full pattern
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -226,16 +226,8 @@ def proportional_pattern(n: int, beta: float, rng_seed: int) -> AdjacencyPattern
     :func:`general_regular_pattern` but tagged as the proportional model."""
     if not (0.0 < beta <= 1.0):
         raise ValueError(f"need 0 < beta <= 1, got {beta}")
-    d = max(1, round(beta * n))
-    base = general_regular_pattern(n, d, rng_seed)
-    return AdjacencyPattern(
-        n=n,
-        d=d,
-        model=PatternModel.PROPORTIONAL,
-        row_cols=base.row_cols,
-        seed=rng_seed,
-        meta={**base.meta, "beta": beta},
-    )
+    base = general_regular_pattern(n, max(1, round(beta * n)), rng_seed)
+    return replace(base, model=PatternModel.PROPORTIONAL, meta={**base.meta, "beta": beta})
 
 
 def validate_regularity(p: AdjacencyPattern) -> RegularityReport:

@@ -171,6 +171,20 @@ class TestSweep:
 
 
 class TestHistogram:
+    def test_sidecar_config_reruns_the_same_histogram(self, tmp_path):
+        # JSON is YAML, so the echoed config is a config file as it stands.
+        cfg = write_config(tmp_path, n=60, d=6, trials_per_point=3,
+                           kappa_grid=[1.0, 3.0], fix_pattern=False, master_seed=4)
+        first = tmp_path / "first.csv"
+        assert main(["histogram", "--config", cfg, "--kappa", "4", "--out", str(first)]) == 0
+        echo = json.loads((tmp_path / "first.csv.meta.json").read_text())["config"]
+        (tmp_path / "echo.yaml").write_text(json.dumps(echo))
+        again = tmp_path / "again.csv"
+        argv = ["histogram", "--config", str(tmp_path / "echo.yaml"),
+                "--kappa", str(echo["kappa_grid"][0]), "--out", str(again)]
+        assert main(argv) == 0
+        assert again.read_bytes() == first.read_bytes()
+
     def test_bins_and_meta(self, tmp_path):
         cfg = write_config(tmp_path, n=100, d=10, trials_per_point=3)
         out = str(tmp_path / "hist.csv")
@@ -229,6 +243,12 @@ class TestGap:
         assert len(lines) == 6
         assert all(float(line.split(",")[1]) > 0.0 for line in lines[1:])
 
+    def test_one_species_is_invalid(self, capsys):
+        assert main(["gap", "--n", "1", "--d", "1", "--trials", "3"]) == EXIT_INVALID_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a 1x1 matrix has no singular gap" in captured.err
+
 
 # Every subcommand that writes a file; CONFIG stands for a config file path.
 # The ones in POOLED run their trials through run_trials, on one BLAS thread.
@@ -247,7 +267,9 @@ POOLED = {"sweep", "histogram", "dynamics", "spectrum", "gap"}
 
 @pytest.mark.parametrize("case", sorted(SIDECAR_CASES))
 def test_sidecar_provenance(case, tmp_path):
-    config = write_config(tmp_path, n=60, d=6, trials_per_point=2, t_end=5.0)
+    # The single-kappa commands echo the config they ran on, not this one.
+    config = write_config(tmp_path, n=60, d=6, trials_per_point=2, t_end=5.0,
+                          kappa_grid=[1.0, 3.0], fix_pattern=False)
     argv = [config if a == "CONFIG" else a for a in SIDECAR_CASES[case]]
     out = str(tmp_path / "out")
     assert main(argv + ["--out", out]) == 0
@@ -260,6 +282,14 @@ def test_sidecar_provenance(case, tmp_path):
         assert (meta["n"], meta["d"], meta["model"]) == (12, 3, "general_regular")
     else:
         assert meta["config"]["n"] == 60
+    if "--kappa" in argv:
+        kappa = float(argv[argv.index("--kappa") + 1])
+        assert meta["config"]["kappa_grid"] == [kappa]
+    elif case == "sweep":
+        assert meta["config"]["kappa_grid"] == [1.0, 3.0]
+    if "CONFIG" in SIDECAR_CASES[case]:  # the trace always runs on the fixed pattern
+        assert meta["config"]["fix_pattern"] is (case == "dynamics")
+    assert "kappa" not in meta
     assert meta["workers"] == 1
     threads = meta["blas_threads"]  # per OpenBLAS library; empty without one
     assert isinstance(threads, dict)
@@ -330,6 +360,22 @@ def test_kappa_must_be_positive(command, kappa, tmp_path, capsys):
     config = write_config(tmp_path, n=60, d=6)
     assert main([command, "--config", config, f"--kappa={kappa}"]) == EXIT_INVALID_CONFIG
     assert "error: kappa must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--n", "60", "--d", "6", "--kappa", "8.0", "--seed", "-5"],
+        ["histogram", "--config", "CONFIG", "--kappa", "8.0", "--seed", "-5"],
+        ["gap", "--n", "12", "--d", "3", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_is_invalid(argv, tmp_path, capsys):
+    config = write_config(tmp_path, n=60, d=6)
+    argv = [config if a == "CONFIG" else a for a in argv]
+    assert main(argv) == EXIT_INVALID_CONFIG
+    seed = argv[argv.index("--seed") + 1]
+    assert f"error: master_seed must be >= 0, got {seed}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

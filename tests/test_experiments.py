@@ -78,6 +78,9 @@ class TestSweepConfig:
             {"n": 10, "d": 2, "t_end": -1},
             {"n": 10, "d": 2, "t_end": math.inf},
             {"n": 10, "d": 2, "trials_per_point": 0},
+            {"n": 10, "d": 2, "master_seed": -1},
+            {"n": 10, "d": 2, "kappa_grid": [2.0, 2.0]},
+            {"n": 10, "d": 2, "kappa_grid": [2, 8.0, 2.0]},
         ],
     )
     def test_rejects_bad_config(self, kwargs):
@@ -395,6 +398,28 @@ class TestRunTrials:
         results, _ = run_trials(self.CFG, range(3), _pid_and_threads, workers=2)
         pids = {pid for pid, _ in results}
         assert len(pids) == 2 and os.getpid() not in pids
+
+    def test_pool_no_larger_than_its_tasks(self, tmp_path, monkeypatch):
+        # A fork pool starts every worker at once; each one runs _init.
+        started = tmp_path / "started"
+        init = experiments._init
+
+        def logged(cfg, extra):
+            with open(started, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            init(cfg, extra)
+
+        monkeypatch.setattr(experiments, "_init", logged)
+        results, env = run_trials(self.CFG, range(2), _pid_and_threads, workers=4)
+        assert env["workers"] == 2
+        assert len(set(started.read_text().split())) == 2
+        assert len({pid for pid, _ in results}) <= 2
+
+    def test_one_task_runs_in_one_worker(self):
+        # Pooled, so the trial's memory stays out of the caller.
+        results, env = run_trials(self.CFG, [0], _pid_and_threads, workers=3)
+        assert env["workers"] == 1
+        assert results[0][0] != os.getpid()
 
 
 # Run as a script: sets the global start method to spawn, gives the caller
