@@ -202,17 +202,40 @@ def _dormand_prince(fun, y, t_bound, rtol, atol, t_eval):
         upto = np.searchsorted(t_eval, t, side="right")
         if upto > done:
             p = np.cumprod(np.tile((t_eval[done:upto] - t_old) / (t - t_old), (4, 1)), axis=0)
-            states[:, done:upto] = (t - t_old) * np.dot(K.T.dot(_DP_P), p) + y_old[:, None]
+            Q = K.T.dot(_DP_P)
+            for a, b in _row_chunks(y.size):
+                states[a:b, done:upto] = (t - t_old) * np.dot(Q[a:b], p) + y_old[a:b, None]
             done = upto
     return states, t
+
+
+# Rows per chunk of the dense output and the distance series, whose
+# temporaries are (chunk, samples).  A chunk's product rounds like the whole
+# one's, except on OpenBLAS when a step spans over 192 samples at n > ~1300:
+# the whole product then leaves the small-matrix kernels.
+_CHUNK_ROWS = 256
+
+
+def _row_chunks(n):
+    """Row ranges of at most ``_CHUNK_ROWS`` rows, the last one up to one row
+    longer: np.dot sends a one-row block down another BLAS path, whose
+    roundings differ from the whole product's."""
+    cuts = [*range(0, max(n - 1, 1), _CHUNK_ROWS), n]
+    return zip(cuts[:-1], cuts[1:])
 
 
 def _make_record(M, times, states, reference, abs_tol):
     final_state = states[:, -1]
     distance = None
     if reference is not None:
+        # norm(states - reference[:, None], axis=0) bit for bit: it adds the
+        # squared rows in order, as add.reduce does with the sums as row 0.
         reference = np.asarray(reference, dtype=np.float64)
-        distance = np.linalg.norm(states - reference[:, None], axis=0)
+        total = np.zeros(states.shape[1])
+        for a, b in _row_chunks(M.n):
+            diff = states[a:b] - reference[a:b, None]
+            total = np.add.reduce(np.vstack([total, diff * diff]), axis=0)
+        distance = np.sqrt(total)
     return TrajectoryRecord(
         times=times.copy(),
         states=states,
@@ -229,7 +252,7 @@ def _make_record(M, times, states, reference, abs_tol):
 class SpectrumReport:
     """Full spectrum of the LV Jacobian diag(x)(-I + M) at a point x."""
 
-    eigenvalues: np.ndarray  # complex, length n, grouped by component
+    eigenvalues: np.ndarray  # complex128, length n, grouped by component
     max_real_part: float
     localization_error: float
     components: int  # diagonal blocks solved (strongly connected components)
@@ -240,8 +263,10 @@ def jacobian_spectrum(M: InteractionMatrix, x: np.ndarray) -> SpectrumReport:
 
     Ordered by the strongly connected components of M's pattern, the
     Jacobian is block triangular, so its spectrum is the union of the
-    spectra of the diagonal blocks x_I (M_II - I).  Each block gets its own
-    dense eigensolve, and ``eigenvalues`` lists them block by block.  The
+    spectra of the diagonal blocks x_I (M_II - I).  Each block is formed
+    once, in Fortran order, scaled in place and handed to LAPACK's
+    ``dgeev`` to overwrite, so a block costs one dense copy of itself.
+    ``eigenvalues`` lists the blocks' eigenvalues block by block.  The
     split reads the pattern, not the weights.  A block-permutation pattern
     has one block per cycle of sigma; a random general d-regular pattern
     with d >= 2 is almost always one block.
@@ -249,6 +274,8 @@ def jacobian_spectrum(M: InteractionMatrix, x: np.ndarray) -> SpectrumReport:
     ``localization_error`` is max over eigenvalues of min_k |lambda + x_k|:
     how far the spectrum strays from -diag(x).
     """
+    from scipy.linalg import eigvals
+
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (M.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({M.n},)")
@@ -263,9 +290,11 @@ def jacobian_spectrum(M: InteractionMatrix, x: np.ndarray) -> SpectrumReport:
     bounds = np.concatenate(([0], np.cumsum(np.bincount(labels))))
     parts = []
     for a, b in zip(bounds[:-1], bounds[1:]):
-        block = M.scale * csr[a:b, a:b].toarray()
+        block = csr[a:b, a:b].toarray(order="F")
+        block *= M.scale
         block[np.diag_indices(b - a)] -= 1.0
-        parts.append(np.linalg.eigvals(xs[a:b, None] * block))
+        block *= xs[a:b, None]
+        parts.append(eigvals(block, overwrite_a=True, check_finite=False))
     eigenvalues = np.concatenate(parts)
     return SpectrumReport(
         eigenvalues=eigenvalues,

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from sparselv import dynamics
 from sparselv.experiments import SweepConfig, build_pattern, pattern_seed, trial_seed
@@ -13,6 +15,7 @@ from sparselv import (
     assemble,
     block_permutation_pattern,
     convergence_rate,
+    full_pattern,
     general_regular_pattern,
     integrate_lv,
     jacobian_spectrum,
@@ -190,6 +193,21 @@ class TestJacobianSpectrum:
             np.sort_complex(ev), np.sort_complex(ev.conj()), atol=1e-10
         )
 
+    @pytest.mark.parametrize("M", [
+        # zero-weight 5-cycle: the Jacobian is -diag(x)
+        forced(block_permutation_pattern(5, 1, [1, 2, 3, 4, 0]), np.zeros((5, 1))),
+        # one 3x3 block whose only nonzero weights are on its diagonal
+        forced(full_pattern(3), np.diag([0.5, -1.0, 2.0])),
+    ], ids=["zero_cycle", "diagonal_block"])
+    def test_real_spectrum_is_still_complex(self, M):
+        x = np.linspace(0.5, 1.5, M.n)
+        rep = jacobian_spectrum(M, x)
+        assert rep.components == 1
+        assert rep.eigenvalues.dtype == np.complex128
+        expected = x * (np.diag(M.dense()) - 1.0)
+        np.testing.assert_allclose(np.sort(rep.eigenvalues.real), np.sort(expected), rtol=1e-12)
+        np.testing.assert_array_equal(rep.eigenvalues.imag, 0.0)
+
     def test_validation(self, monkeypatch):
         M = zero_matrix(3)
         with pytest.raises(ValueError):
@@ -292,6 +310,94 @@ class TestJacobianSplit:
         M = assemble(block_permutation_pattern(5, 3, np.arange(5)), alpha=2.0, seed=1)
         rep = self.check(M, np.ones(15))
         assert rep.components == 5 and len(rep.eigenvalues) == 15
+
+
+def _traced_peak(fn, *args, **kwargs):
+    """Peak bytes that ``fn`` allocates, as tracemalloc counts them (numpy
+    reports its array buffers to it)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFootprint:
+    """The stability path holds one full-size array: the Jacobian block, or
+    the sampled states.  Chunking the dense output and the distance series
+    over rows keeps every other temporary small, and changes no bit."""
+
+    def test_spectrum_holds_one_block(self):
+        n = 600
+        M = assemble(general_regular_pattern(n, 4, rng_seed=1), alpha=3.0, seed=1)
+        x = np.random.default_rng(0).uniform(0.5, 2.0, n)
+        rep, peak = _traced_peak(jacobian_spectrum, M, x)
+        assert rep.components == 1
+        assert peak < 1.5 * n * n * 8
+
+    def test_trajectory_holds_one_states_array(self):
+        n = 20_000
+        sigma = np.random.default_rng(2).permutation(n // 8)
+        M = assemble(block_permutation_pattern(n // 8, 8, sigma), alpha=3.0, seed=2)
+        reference = solve_feasibility(M).x
+        tr, peak = _traced_peak(
+            integrate_lv, M, np.full(n, 0.5), 5.0, sample_count=201, reference=reference
+        )
+        assert tr.states.shape == (n, 201)
+        assert peak < 1.25 * tr.states.nbytes
+
+    @pytest.mark.parametrize("n", [1000, 1025])
+    def test_chunks_change_no_bit(self, n, monkeypatch):
+        assert len(list(dynamics._row_chunks(n))) > 1
+        M = assemble(general_regular_pattern(n, 6, rng_seed=n), alpha=3.0, seed=n)
+        reference = solve_feasibility(M).x
+
+        def run():
+            return integrate_lv(M, np.full(n, 0.5), 20.0, sample_count=201, reference=reference)
+
+        chunked = run()
+        monkeypatch.setattr(dynamics, "_CHUNK_ROWS", n)
+        assert len(list(dynamics._row_chunks(n))) == 1
+        whole = run()
+        np.testing.assert_array_equal(chunked.states, whole.states)
+        np.testing.assert_array_equal(chunked.distance_series, whole.distance_series)
+        np.testing.assert_array_equal(
+            chunked.distance_series, np.linalg.norm(chunked.states - reference[:, None], axis=0)
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 258, 512, 513, 1000])
+    def test_row_chunks_cover_without_single_rows(self, n):
+        chunks = list(dynamics._row_chunks(n))
+        assert chunks[0][0] == 0 and chunks[-1][1] == n
+        assert all(b == c for (_, b), (c, _) in zip(chunks, chunks[1:]))
+        assert all(b - a >= min(n, 2) for a, b in chunks)
+        assert all(b - a <= dynamics._CHUNK_ROWS + 1 for a, b in chunks)
+
+    @pytest.mark.parametrize("M", [
+        assemble(block_permutation_pattern(40, 8, np.random.default_rng(4).permutation(40)),
+                 alpha=3.0, seed=4),
+        assemble(general_regular_pattern(300, 4, rng_seed=5), alpha=3.0, seed=5),
+    ], ids=["block_permutation", "general_regular"])
+    def test_blocks_match_numpy(self, M):
+        # One np.linalg.eigvals per strongly connected block, in the order
+        # jacobian_spectrum lists them.  numpy and scipy may bundle different
+        # LAPACK builds, so the eigenvalues agree to rounding only.
+        x = np.random.default_rng(M.n).uniform(0.5, 2.0, M.n)
+        rep = jacobian_spectrum(M, x)
+        _, labels = connected_components(M.pattern.dense(), directed=True, connection="strong")
+        order = np.argsort(labels, kind="stable")
+        J = (np.diag(x) @ (M.dense() - np.eye(M.n)))[np.ix_(order, order)]
+        start = 0
+        for size in np.bincount(labels):
+            block = slice(start, start + size)
+            np.testing.assert_allclose(
+                np.sort_complex(rep.eigenvalues[block]),
+                np.sort_complex(np.linalg.eigvals(J[block, block])),
+                rtol=1e-10, atol=1e-12,
+            )
+            start += size
+        assert start == M.n
 
 
 class TestStabilityCertificate:
