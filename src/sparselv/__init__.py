@@ -14,7 +14,6 @@ from .patterns import (
     full_pattern,
     general_regular_pattern,
     proportional_pattern,
-    validate_regularity,
 )
 from .interaction import InteractionMatrix, SpectralReport, assemble, spectral_norm, singular_gap
 from .equilibrium import (

@@ -4,8 +4,8 @@ Subcommands: pattern, solve, sweep, histogram, dynamics, spectrum, gap.
 Outputs are plot-ready CSV or JSON, and only this module decides their
 formats; the layers below return numbers and dict rows.  File outputs get
 a meta.json sidecar with the run's provenance: config echo, workers, BLAS
-threads, version and wall time.  Exit codes: 0 success, 2 invalid config,
-3 numerical failure.
+threads, version and wall time.  Exit codes: 0 success, 2 invalid config
+or a file that cannot be read or written, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -18,8 +18,9 @@ import math
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
-from .patterns import pattern_text
 # spectral_norm is unused here; perfbench/tracing.py wraps it by this name.
 from .interaction import assemble, spectral_norm  # noqa: F401
 from .equilibrium import DivergenceError, EquilibriumError, solve_feasibility
@@ -122,6 +123,15 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _pattern_text(p) -> str:
+    """Pattern text: header ``n d model seed`` (``-`` for no seed), then one
+    line per row with its column indices ascending (zero-based)."""
+    buf = io.StringIO()
+    buf.write(f"{p.n} {p.d} {p.model.value} {'-' if p.seed is None else p.seed}\n")
+    np.savetxt(buf, p.row_cols, fmt="%d")
+    return buf.getvalue()
+
+
 def _write_text(path, text, meta=None):
     """Write ``text`` to ``path`` (plus the meta.json sidecar), or to stdout."""
     if path:
@@ -149,7 +159,7 @@ def cmd_pattern(args) -> int:
         args, n=args.n, d=args.d, model=args.model, beta=args.beta,
     )
     pattern = build_pattern(cfg, pattern_seed(cfg.master_seed))
-    _write_text(args.out, pattern_text(pattern), _provenance(cfg, t0))
+    _write_text(args.out, _pattern_text(pattern), _provenance(cfg, t0))
     return 0
 
 
@@ -317,7 +327,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_CONFIG
     except (DivergenceError, EquilibriumError, IntegrationError) as exc:

@@ -182,11 +182,11 @@ def extreme_value_stat(Z: np.ndarray, g: GumbelConstants) -> float:
 def _checked_saturated(
     x: np.ndarray, M_dense: np.ndarray, tol: float, method: str
 ) -> SaturatedEquilibrium:
-    growth = 1.0 - x + M_dense @ x
-    comp = float(np.max(np.abs(x * growth)))
+    Mx = M_dense @ x
+    comp = float(np.max(np.abs(x * (1.0 - x + Mx))))
     extinct = x == 0.0
     if extinct.any():
-        kkt = float(np.maximum(0.0, 1.0 + (M_dense @ x)[extinct]).max())
+        kkt = float(np.maximum(0.0, 1.0 + Mx[extinct]).max())
     else:
         kkt = 0.0
     if comp > tol or kkt > tol:
@@ -203,14 +203,12 @@ def _checked_saturated(
     )
 
 
-def _refine_support(
-    M_dense: np.ndarray, support: np.ndarray
-) -> tuple[np.ndarray, np.ndarray] | None:
+def _refine_support(M_dense: np.ndarray, support: np.ndarray) -> np.ndarray | None:
     """Principal pivoting on the survivor support: solve the linear system
     on the current support, drop every species with a nonpositive value,
     then re-admit extinct species whose invasion rate 1 + (Mx)_k is
-    positive.  Returns (indices, x) at a consistent support, or None when
-    the support empties or 200 rounds pass without settling."""
+    positive.  Returns x at a consistent support, or None when the support
+    empties or 200 rounds pass without settling."""
     n = M_dense.shape[0]
     support = support.copy()
     for _ in range(200):
@@ -227,7 +225,7 @@ def _refine_support(
         x[idx] = x_sub
         invade = ~support & (1.0 + M_dense @ x > 0.0)
         if not invade.any():
-            return idx, x
+            return x
         support |= invade
     return None
 
@@ -281,9 +279,8 @@ def saturated_equilibrium(
     else:
         start = np.zeros(M.n, dtype=bool)
         start[_ode_limit_support(M, tol)] = True
-    refined = _refine_support(M_dense, start)
-    if refined is None:
+    x = _refine_support(M_dense, start)
+    if x is None:
         hint = '; method="ode_limit" starts from the dynamics' if method == "pivoting" else ""
         raise EquilibriumError(f"support refinement did not settle (method={method}){hint}")
-    idx, x = refined
     return _checked_saturated(x, M_dense, tol, method)

@@ -111,6 +111,8 @@ class SweepConfig:
         typed = [(name, getattr(self, name), Integral)
                  for name in ("n", "d", "trials_per_point", "master_seed")]
         typed += [("t_end", self.t_end, Real), ("fix_pattern", self.fix_pattern, bool)]
+        if not isinstance(self.kappa_grid, (list, tuple)):
+            raise ConfigError(f"kappa_grid must be a list of numbers, got {self.kappa_grid!r}")
         typed += [("kappa_grid entry", k, Real) for k in self.kappa_grid]
         if self.beta is not None:
             typed.append(("beta", self.beta, Real))
@@ -169,7 +171,8 @@ class SweepConfig:
         known = {f.name for f in fields(cls)}
         unknown = set(mapping) - known
         if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            # YAML keys need not be strings (1: 2), and mixed types do not sort.
+            raise ConfigError(f"unknown config keys: {sorted(unknown, key=str)}")
         try:
             return cls(**mapping)
         except TypeError as exc:

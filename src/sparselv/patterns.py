@@ -2,12 +2,14 @@
 
 A pattern is the 0/1 sparsity mask of the interaction matrix: a directed
 d-regular graph on n vertices, stored as the sorted column indices of the
-d nonzero positions in each row.  Three constructions are provided: the
+d nonzero positions in each row.  Four constructions are provided: the
 block-permutation pattern (a permutation of m dense d x d blocks), a
 random general d-regular pattern (d superposed random permutations whose
 clashes are removed by switching entries within a permutation; the
-complement of an (n - d)-regular one for d > n/2), and the full pattern
-(d = n).  Every construction is deterministic given its seed.
+complement of an (n - d)-regular one for d > n/2), the proportional
+pattern (a general one with d = round(beta n)) and the full pattern
+(d = n).  Every construction is deterministic given its seed.  This
+module only builds patterns; ``sparselv pattern`` writes them as text.
 """
 
 from __future__ import annotations
@@ -21,14 +23,10 @@ __all__ = [
     "PatternModel",
     "MODELS",
     "AdjacencyPattern",
-    "RegularityReport",
     "block_permutation_pattern",
     "general_regular_pattern",
     "proportional_pattern",
     "full_pattern",
-    "validate_regularity",
-    "pattern_text",
-    "load_pattern",
 ]
 
 
@@ -83,13 +81,6 @@ class AdjacencyPattern:
 
     def __hash__(self):
         return hash((self.n, self.d, self.row_cols.tobytes()))
-
-
-@dataclass(frozen=True)
-class RegularityReport:
-    row_degrees_ok: bool
-    col_degrees_ok: bool
-    nnz: int
 
 
 def block_permutation_pattern(m: int, d: int, sigma) -> AdjacencyPattern:
@@ -228,50 +219,3 @@ def proportional_pattern(n: int, beta: float, rng_seed: int) -> AdjacencyPattern
         raise ValueError(f"need 0 < beta <= 1, got {beta}")
     base = general_regular_pattern(n, max(1, round(beta * n)), rng_seed)
     return replace(base, model=PatternModel.PROPORTIONAL, meta={**base.meta, "beta": beta})
-
-
-def validate_regularity(p: AdjacencyPattern) -> RegularityReport:
-    """Count nonzeros per row and column; pure check, never raises."""
-    rc = np.sort(p.row_cols, axis=1)
-    repeats = int((rc[:, 1:] == rc[:, :-1]).sum())
-    col_counts = np.bincount(rc.ravel(), minlength=p.n)
-    col_ok = bool((col_counts == p.d).all())
-    return RegularityReport(
-        row_degrees_ok=repeats == 0, col_degrees_ok=col_ok, nnz=p.n * p.d - repeats
-    )
-
-
-def pattern_text(p: AdjacencyPattern) -> str:
-    """Compact text export: header ``n d model seed``, then one line per
-    row with its column indices ascending (zero-based)."""
-    seed = "-" if p.seed is None else str(p.seed)
-    lines = [f"{p.n} {p.d} {p.model.value} {seed}"]
-    for i in range(p.n):
-        lines.append(" ".join(str(int(c)) for c in p.row_cols[i]))
-    return "\n".join(lines) + "\n"
-
-
-def load_pattern(path) -> AdjacencyPattern:
-    """Read a file holding :func:`pattern_text`; bit-exact round trip of the
-    position set (generation metadata other than the seed is not kept)."""
-    with open(path) as f:
-        header = f.readline().split()
-        if len(header) != 4:
-            raise ValueError(f"malformed pattern header: {header}")
-        n, d = int(header[0]), int(header[1])
-        if not 1 <= d <= n:
-            raise ValueError(f"pattern header needs 1 <= d <= n, got n={n}, d={d}")
-        model = PatternModel(header[2])
-        seed = None if header[3] == "-" else int(header[3])
-        row_cols = np.empty((n, d), dtype=np.int64)
-        for i in range(n):
-            row = f.readline().split()
-            if len(row) != d:
-                raise ValueError(f"row {i} has {len(row)} entries, expected {d}")
-            row_cols[i] = [int(c) for c in row]
-    # Checked here, not in AdjacencyPattern, which every trial build creates.
-    bad = (row_cols[:, 0] < 0) | (row_cols[:, -1] >= n) | (np.diff(row_cols) <= 0).any(axis=1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"row {i} is not strictly ascending within [0, {n}): {row_cols[i]}")
-    return AdjacencyPattern(n=n, d=d, model=model, row_cols=row_cols, seed=seed)

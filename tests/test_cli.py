@@ -1,5 +1,6 @@
 import ast
 import csv
+import hashlib
 import json
 import os
 import platform
@@ -17,7 +18,6 @@ import yaml
 import sparselv
 from sparselv import SweepConfig, __version__
 from sparselv.cli import EXIT_INVALID_CONFIG, EXIT_NUMERICAL_FAILURE, SOLVE_COLUMNS, main
-from sparselv.patterns import load_pattern
 
 
 def write_config(tmp_path, **kwargs):
@@ -43,8 +43,34 @@ class TestPattern:
         out = str(tmp_path / "pattern.txt")
         assert main(["pattern", "--n", "12", "--d", "4", "--model",
                      "block_permutation", "--out", out]) == 0
-        p = load_pattern(out)
-        assert p.n == 12 and p.d == 4
+        with open(out) as f:
+            assert f.readline() == "12 4 block_permutation -\n"
+        row_cols = np.loadtxt(out, dtype=np.int64, skiprows=1, ndmin=2)
+        assert row_cols.shape == (12, 4)
+        # Each row holds one of the three dense 4 x 4 blocks' column ranges.
+        assert {tuple(r) for r in row_cols} <= {tuple(range(4 * b, 4 * b + 4)) for b in range(3)}
+
+    # SHA-256 of the output bytes, recorded when the text writer was a
+    # Python loop over rows; the same bytes on stdout and in the --out file.
+    DIGESTS = {
+        "--n 12 --d 3 --model block_permutation":
+            "9f52afe81ca5e2feec1e85df44a6268f1c5a332c1f2427bf641c1a70db3d8b80",
+        "--n 30 --d 4 --model general_regular --seed 11":
+            "1161f658cd1497a82c57a3eb7c92884fab078ae57b64188a4f964dc8c24874c6",
+        "--n 5 --model full":
+            "c4dcf3e042320719a8e9b16c5293e27e05e60fe69d98185c11aa5583815a3f84",
+        "--n 40 --model proportional --beta 0.25":
+            "131c4d93ddd5e46accdadd97453ba908fbaea9ec6e3b42fe6765b01e051ae116",
+    }
+
+    @pytest.mark.parametrize("args", sorted(DIGESTS))
+    def test_frozen_output_bytes(self, args, tmp_path, capsys):
+        assert main(["pattern", *args.split()]) == 0
+        stdout = capsys.readouterr().out.encode()
+        out = tmp_path / "pattern.txt"
+        assert main(["pattern", *args.split(), "--out", str(out)]) == 0
+        for data in (stdout, out.read_bytes()):
+            assert hashlib.sha256(data).hexdigest() == self.DIGESTS[args]
 
     def test_seed_changes_pattern(self, capsys):
         main(["pattern", "--n", "20", "--d", "3", "--model", "general_regular",
@@ -161,7 +187,8 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "entry",
-        ["trials_per_point: 2.5", "master_seed: 1.5", "fix_pattern: 'no'", "n: 100.0", "n: true"],
+        ["trials_per_point: 2.5", "master_seed: 1.5", "fix_pattern: 'no'", "n: 100.0", "n: true",
+         "kappa_grid: 2.0"],
     )
     def test_config_value_of_wrong_type(self, entry, tmp_path, capsys):
         (field, value), = yaml.safe_load(entry).items()
@@ -304,12 +331,27 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg]) == EXIT_INVALID_CONFIG
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_keys_of_mixed_types(self, tmp_path, capsys):
+        path = tmp_path / "mixed.yaml"
+        path.write_text("n: 60\nd: 6\n1: 2\nfoo: 3\n")
+        assert main(["sweep", "--config", str(path)]) == EXIT_INVALID_CONFIG
+        assert "error: unknown config keys: [1, 'foo']" in capsys.readouterr().err
+
     def test_invalid_model(self, capsys):
         cfg_args = ["solve", "--n", "10", "--d", "3", "--kappa", "2.0"]
         assert main(cfg_args) == EXIT_INVALID_CONFIG  # d does not divide n
 
     def test_missing_config_file(self, capsys):
         assert main(["sweep", "--config", "/nonexistent.yaml"]) == EXIT_INVALID_CONFIG
+
+    def test_directory_as_config(self, tmp_path, capsys):
+        assert main(["sweep", "--config", str(tmp_path)]) == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+
+    def test_directory_as_out(self, tmp_path, capsys):
+        args = ["pattern", "--n", "12", "--d", "3", "--out", str(tmp_path)]
+        assert main(args) == EXIT_INVALID_CONFIG
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
 
     def test_non_mapping_config(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"

@@ -99,6 +99,7 @@ class TestSweepConfig:
             ("fix_pattern", 1),
             ("t_end", "50"),
             ("kappa_grid", [2.0, True]),
+            ("kappa_grid", 2.0),
         ],
     )
     def test_rejects_wrong_type(self, field, value):
@@ -114,6 +115,10 @@ class TestSweepConfig:
     def test_from_mapping_unknown_key(self):
         with pytest.raises(ConfigError, match="unknown"):
             SweepConfig.from_mapping({"n": 10, "d": 2, "kapa_grid": [2.0]})
+
+    def test_from_mapping_unknown_keys_of_mixed_types(self):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \[1, 'foo'\]"):
+            SweepConfig.from_mapping({"n": 10, "d": 2, 1: 2, "foo": 3})
 
     def test_echo_round_trip(self):
         cfg = SweepConfig(n=60, d=6, kappa_grid=[1.0, 3.0], trials_per_point=4)
