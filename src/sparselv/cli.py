@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-# spectral_norm is unused here; perfbench/tracing.py wraps it by this name.
+# Unused here; perfbench/tracing.py wraps assemble and spectral_norm by these names.
 from .interaction import assemble, spectral_norm  # noqa: F401
 from .equilibrium import DivergenceError, EquilibriumError, solve_feasibility
 from .dynamics import IntegrationError
@@ -29,6 +29,7 @@ from .experiments import (
     MODELS,
     ConfigError,
     SweepConfig,
+    _matrix,
     _provenance,
     one_blas_thread,
     build_pattern,
@@ -38,7 +39,7 @@ from .experiments import (
     run_feasibility_sweep,
     run_spectrum_check,
     run_singular_gap_trials,
-    trial_seed,
+    run_trials,
 )
 
 EXIT_INVALID_CONFIG = 2
@@ -174,9 +175,7 @@ def cmd_solve(args) -> int:
             f"solve takes one kappa, but the config grid is {cfg.kappa_grid}; "
             "pass --kappa"
         )
-    kappa = cfg.kappa_grid[0]
-    pattern = build_pattern(cfg, pattern_seed(cfg.master_seed))
-    M = assemble(pattern, cfg.alpha(kappa), trial_seed(cfg.master_seed, 0, 0))
+    [M], env = run_trials(cfg, [(0, 0)], _matrix)
     report = solve_feasibility(M)
     if not report.converged:
         print(
@@ -185,7 +184,7 @@ def cmd_solve(args) -> int:
             file=sys.stderr,
         )
         return EXIT_NUMERICAL_FAILURE
-    meta = _provenance(cfg, t0)
+    meta = _provenance(cfg, t0, env)
     row = [getattr(report, c) for c in SOLVE_COLUMNS[:5]]
     row += [getattr(M, c) for c in SOLVE_COLUMNS[5:]]  # alpha, n, d, seed
     if args.format == "json" or args.full_state:

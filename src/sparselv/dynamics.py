@@ -60,7 +60,6 @@ class TrajectoryRecord:
     max_series: np.ndarray
     mean_series: np.ndarray
     final_state: np.ndarray
-    converged: bool
     distance_series: np.ndarray | None = None
 
     def series_rows(self):
@@ -85,12 +84,10 @@ def integrate_lv(
     """Integrate the LV system over [0, t_end] with dense sampling at
     ``sample_count`` uniform times.
 
-    ``converged`` reports whether the sup norm of the vector field at the
-    final state is below ``abs_tol`` (invariant under sampling density,
-    unlike state differencing).  When ``reference`` is given, the Euclidean
-    distance to it is recorded per sample.  A clearly negative state
-    (beyond the integrator noise floor) or a step-size underflow aborts
-    with :class:`IntegrationError`; the partial record is attached.
+    When ``reference`` is given, the Euclidean distance to it is recorded
+    per sample.  A clearly negative state (beyond the integrator noise
+    floor) or a step-size underflow aborts with :class:`IntegrationError`;
+    the partial record is attached.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (M.n,):
@@ -105,7 +102,7 @@ def integrate_lv(
         lambda x: lv_field(M, x), x0, float(t_end), rel_tol, abs_tol, t_eval
     )
     samples = states.shape[1]
-    record = _make_record(M, t_eval[:samples], states, reference, abs_tol) if samples else None
+    record = _make_record(M, t_eval[:samples], states, reference) if samples else None
     if t_stop < t_end:
         raise IntegrationError(
             f"integration aborted at t={t_stop:.5g}: Required step size is less "
@@ -224,8 +221,7 @@ def _row_chunks(n):
     return zip(cuts[:-1], cuts[1:])
 
 
-def _make_record(M, times, states, reference, abs_tol):
-    final_state = states[:, -1]
+def _make_record(M, times, states, reference):
     distance = None
     if reference is not None:
         # norm(states - reference[:, None], axis=0) bit for bit: it adds the
@@ -242,8 +238,7 @@ def _make_record(M, times, states, reference, abs_tol):
         min_series=states.min(axis=0),
         max_series=states.max(axis=0),
         mean_series=states.mean(axis=0),
-        final_state=final_state.copy(),
-        converged=bool(np.max(np.abs(lv_field(M, final_state))) < abs_tol),
+        final_state=states[:, -1].copy(),
         distance_series=distance,
     )
 
@@ -279,8 +274,8 @@ def jacobian_spectrum(M: InteractionMatrix, x: np.ndarray) -> SpectrumReport:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (M.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({M.n},)")
-    if (x <= 0).any():
-        raise ValueError("spectrum analysis expects a strictly positive state")
+    if not np.isfinite(x).all() or (x <= 0).any():
+        raise ValueError("spectrum analysis expects a finite, strictly positive state")
     if M.n > DENSE_EIG_LIMIT:
         raise ValueError(f"n={M.n} exceeds dense eigensolver limit {DENSE_EIG_LIMIT}")
     csr = M._unscaled_csr()

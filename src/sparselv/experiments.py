@@ -15,12 +15,13 @@ returns the results in task order.  Tasks go to the pool in chunks of up
 to 8, small enough that every worker gets some.  Before the first trial
 each worker stores ``cfg`` and the ``extra`` keywords in its context
 ``_CTX`` and, when ``cfg.fix_pattern`` is set, builds the fixed pattern
-once.  Inside a trial, ``_matrix(kappa_index, trial)`` assembles the
+once.  Inside a trial, ``_matrix((kappa_index, trial))`` assembles the
 seeded interaction matrix at the alpha of ``cfg.kappa_grid[kappa_index]``
 on that cached pattern, or on the trial's own pattern otherwise; the
 single-kappa drivers run on the grid ``[kappa]``, which their sidecars
-echo.  The one-trial dynamics trace is such a call too: no driver builds a
-pattern or a matrix outside a trial function.
+echo.  ``_matrix`` is itself a trial function, which ``sparselv solve``
+runs as the one task ``(0, 0)``; the dynamics trace is a one-task call
+too.  No subcommand builds a pattern or a matrix outside a trial function.
 
 ``run_trials`` pins the bundled OpenBLAS libraries to one thread for its
 whole body (see ``one_blas_thread``), so every trial, and every eigensolve
@@ -221,9 +222,10 @@ def _init(cfg: SweepConfig, extra: dict) -> None:
     _CTX.update(extra, cfg=cfg, pattern=fixed)
 
 
-def _matrix(kappa_index: int, trial: int) -> InteractionMatrix:
-    """Seeded interaction matrix of one trial, at the alpha of its grid
-    kappa, on the cached or per-trial pattern."""
+def _matrix(task: tuple[int, int]) -> InteractionMatrix:
+    """Seeded interaction matrix of trial ``task = (kappa_index, trial)``,
+    at the alpha of its grid kappa, on the cached or per-trial pattern."""
+    kappa_index, trial = task
     cfg: SweepConfig = _CTX["cfg"]
     pattern = _CTX["pattern"]
     if pattern is None:
@@ -332,7 +334,7 @@ def _mean(values: list) -> float:
 
 
 def _sweep_trial(task: tuple[int, int]) -> dict:
-    M = _matrix(*task)
+    M = _matrix(task)
     report = _solve(M)
     if report is None:
         return {"diverged": True, "feasible": False}
@@ -393,7 +395,7 @@ def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 def _hist_trial(trial: int) -> dict | None:
     """Histogram counts and moments of one equilibrium; None if the solve
     diverged or did not converge."""
-    report = _solve(_matrix(0, trial))
+    report = _solve(_matrix((0, trial)))
     if report is None:
         return None
     x = report.x
@@ -473,7 +475,7 @@ def _dynamics_trial(trial: int) -> TrajectoryRecord:
     """Trajectory of one trial from x0 = 1/2, sampled at 201 times, with the
     distance to the equilibrium when the solve converged feasible."""
     cfg: SweepConfig = _CTX["cfg"]
-    M = _matrix(0, trial)
+    M = _matrix((0, trial))
     report = _solve(M)
     reference = report.x if report is not None and report.feasible else None
     return integrate_lv(M, np.full(cfg.n, 0.5), cfg.t_end, sample_count=201, reference=reference)
@@ -482,9 +484,8 @@ def _dynamics_trial(trial: int) -> TrajectoryRecord:
 def run_dynamics_trace(cfg: SweepConfig, kappa: float) -> DynamicsTrace:
     """Trajectory of trial 0 through ``run_trials`` (one task, in-process,
     one BLAS thread), plus 10 random species whose full traces the caller
-    reads from ``record.states``.  The trial always uses the fixed
-    pattern, whatever ``cfg.fix_pattern``."""
-    cfg = replace(cfg, kappa_grid=[kappa], fix_pattern=True)
+    reads from ``record.states``."""
+    cfg = replace(cfg, kappa_grid=[kappa])
     t0 = time.time()
     [record], env = run_trials(cfg, [0], _dynamics_trial)
     rng = np.random.default_rng(trial_seed(cfg.master_seed, 0, 1))
@@ -503,7 +504,7 @@ class SpectrumSweepResult:
 
 def _spectrum_trial(trial: int) -> dict | None:
     """Jacobian spectrum row at a converged feasible equilibrium; else None."""
-    M = _matrix(0, trial)
+    M = _matrix((0, trial))
     report = _solve(M)
     if report is None or not report.feasible:
         return None
@@ -539,7 +540,7 @@ def run_spectrum_check(cfg: SweepConfig, kappa: float, workers: int = 1) -> Spec
 
 
 def _gap_trial(trial: int) -> float:
-    return singular_gap(_matrix(0, trial))
+    return singular_gap(_matrix((0, trial)))
 
 
 def run_singular_gap_trials(

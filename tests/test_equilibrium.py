@@ -11,6 +11,7 @@ from sparselv import (
     assemble,
     block_permutation_pattern,
     extreme_value_stat,
+    full_pattern,
     general_regular_pattern,
     gumbel_constants,
     neumann_summand,
@@ -288,6 +289,20 @@ class TestSaturatedEquilibrium:
         # there refines to the equilibrium.
         sat = saturated_equilibrium(draw(0.5), method="ode_limit")
         assert len(sat.survivors) == 90 and sat.method == "ode_limit"
+
+    @pytest.mark.parametrize(
+        "M, tol, match",
+        [
+            # A generic feasible draw; its residuals are not below 1e-300.
+            (assemble(general_regular_pattern(20, 3, rng_seed=1), 4.0, seed=2), 1e-300,
+             "checks failed"),
+            # x = 1/(1 - 3) < 0 drops the one species, and the support empties.
+            (forced(full_pattern(1), [[3.0]]), 1e-10, "did not settle"),
+        ],
+    )
+    def test_check_failures_raise_equilibrium_error(self, M, tol, match):
+        with pytest.raises(EquilibriumError, match=match):
+            saturated_equilibrium(M, tol=tol)
 
 
 class TestStatisticalProperties:
