@@ -30,10 +30,9 @@ from .experiments import (
     ConfigError,
     SweepConfig,
     _matrix,
+    _pattern,
     _provenance,
     one_blas_thread,
-    build_pattern,
-    pattern_seed,
     run_abundance_histogram,
     run_dynamics_trace,
     run_feasibility_sweep,
@@ -159,8 +158,8 @@ def cmd_pattern(args) -> int:
     cfg = _load_config(
         args, n=args.n, d=args.d, model=args.model, beta=args.beta,
     )
-    pattern = build_pattern(cfg, pattern_seed(cfg.master_seed))
-    _write_text(args.out, _pattern_text(pattern), _provenance(cfg, t0))
+    [pattern], env = run_trials(cfg, [(0, 0)], _pattern)
+    _write_text(args.out, _pattern_text(pattern), _provenance(cfg, t0, env))
     return 0
 
 
@@ -178,12 +177,10 @@ def cmd_solve(args) -> int:
     [M], env = run_trials(cfg, [(0, 0)], _matrix)
     report = solve_feasibility(M)
     if not report.converged:
-        print(
-            f"numerical failure: Neumann solve did not converge in "
-            f"{report.solver_iterations} iterations (residual {report.residual_inf:.3e})",
-            file=sys.stderr,
+        raise EquilibriumError(
+            f"Neumann solve did not converge in {report.solver_iterations} "
+            f"iterations (residual {report.residual_inf:.3e})"
         )
-        return EXIT_NUMERICAL_FAILURE
     meta = _provenance(cfg, t0, env)
     row = [getattr(report, c) for c in SOLVE_COLUMNS[:5]]
     row += [getattr(M, c) for c in SOLVE_COLUMNS[5:]]  # alpha, n, d, seed

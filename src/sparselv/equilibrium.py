@@ -40,7 +40,7 @@ class DivergenceError(RuntimeError):
 
 
 class EquilibriumError(RuntimeError):
-    """Saturated-equilibrium solve failed its complementarity/KKT checks."""
+    """A saturated-equilibrium KKT check failed, or ``solve``'s Neumann solve hit max_iter."""
 
 
 @dataclass

@@ -15,13 +15,13 @@ returns the results in task order.  Tasks go to the pool in chunks of up
 to 8, small enough that every worker gets some.  Before the first trial
 each worker stores ``cfg`` and the ``extra`` keywords in its context
 ``_CTX`` and, when ``cfg.fix_pattern`` is set, builds the fixed pattern
-once.  Inside a trial, ``_matrix((kappa_index, trial))`` assembles the
-seeded interaction matrix at the alpha of ``cfg.kappa_grid[kappa_index]``
-on that cached pattern, or on the trial's own pattern otherwise; the
+once.  ``_pattern(task)`` returns that cached pattern, or else trial
+``task = (kappa_index, trial)``'s own, and ``_matrix(task)`` draws on it
+the seeded matrix at the alpha of ``cfg.kappa_grid[kappa_index]``; the
 single-kappa drivers run on the grid ``[kappa]``, which their sidecars
-echo.  ``_matrix`` is itself a trial function, which ``sparselv solve``
-runs as the one task ``(0, 0)``; the dynamics trace is a one-task call
-too.  No subcommand builds a pattern or a matrix outside a trial function.
+echo.  ``pattern`` and ``solve`` run these trial functions as the one task
+``(0, 0)``; the dynamics trace is a one-task call too.  No subcommand
+builds a pattern or a matrix outside a trial function.
 
 ``run_trials`` pins the bundled OpenBLAS libraries to one thread for its
 whole body (see ``one_blas_thread``), so every trial, and every eigensolve
@@ -222,16 +222,20 @@ def _init(cfg: SweepConfig, extra: dict) -> None:
     _CTX.update(extra, cfg=cfg, pattern=fixed)
 
 
+def _pattern(task: tuple[int, int]) -> AdjacencyPattern:
+    """The cached fixed pattern, or the own pattern of trial ``task[1]``."""
+    cfg: SweepConfig = _CTX["cfg"]
+    fixed = _CTX["pattern"]
+    return build_pattern(cfg, pattern_seed(cfg.master_seed, task[1])) if fixed is None else fixed
+
+
 def _matrix(task: tuple[int, int]) -> InteractionMatrix:
     """Seeded interaction matrix of trial ``task = (kappa_index, trial)``,
-    at the alpha of its grid kappa, on the cached or per-trial pattern."""
+    at the alpha of its grid kappa, on ``_pattern(task)``."""
     kappa_index, trial = task
     cfg: SweepConfig = _CTX["cfg"]
-    pattern = _CTX["pattern"]
-    if pattern is None:
-        pattern = build_pattern(cfg, pattern_seed(cfg.master_seed, trial))
     alpha = cfg.alpha(cfg.kappa_grid[kappa_index])
-    return assemble(pattern, alpha, trial_seed(cfg.master_seed, kappa_index, trial))
+    return assemble(_pattern(task), alpha, trial_seed(cfg.master_seed, kappa_index, trial))
 
 
 def _openblas() -> dict[str, tuple]:
@@ -244,7 +248,8 @@ def _openblas() -> dict[str, tuple]:
     except OSError:
         return {}
     found = {}
-    for path in sorted(paths):
+    # An unlinked file maps as "<path> (deleted)"; dlopen finds it by <path>.
+    for path in sorted(p.removesuffix(" (deleted)") for p in paths):
         lib = ctypes.CDLL(path)
         for stem in ("scipy_openblas", "openblas"):
             for suffix in ("64_", ""):
@@ -301,12 +306,10 @@ def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1, **extra):
     return results, {"workers": workers, "blas_threads": threads}
 
 
-def _provenance(cfg: SweepConfig | None, t0: float, env: dict | None = None, **extra) -> dict:
-    """Sidecar record of a run that started at ``time.time() == t0``.
-    ``env`` is the worker count and BLAS threads that ``run_trials``
-    returned; by default one process and the counts read now."""
+def _provenance(cfg: SweepConfig | None, t0: float, env: dict, **extra) -> dict:
+    """Sidecar record of a run that started at ``time.time() == t0``, with
+    the worker count and BLAS threads ``env`` that ``run_trials`` returned."""
     config = {} if cfg is None else {"config": cfg.echo()}
-    env = env or {"workers": 1, "blas_threads": blas_threads()}
     return {
         **config, **extra, **env,
         "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
@@ -333,14 +336,14 @@ def _mean(values: list) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_trial(task: tuple[int, int]) -> dict:
+def _sweep_trial(task: tuple[int, int]) -> dict | None:
+    """Feasibility record of one trial; None if the solve diverged or did not converge."""
     M = _matrix(task)
     report = _solve(M)
     if report is None:
-        return {"diverged": True, "feasible": False}
+        return None
     max_r_norm = float(np.max(np.abs(report.R))) / (M.alpha * math.sqrt(2.0 * math.log(M.n)))
     return {
-        "diverged": False,
         "feasible": report.feasible,
         "min_x": report.min_x,
         "max_R_normalized": max_r_norm,
@@ -370,8 +373,8 @@ def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     rows = []
     for ki, kappa in enumerate(cfg.kappa_grid):
         recs = results[ki * T : (ki + 1) * T]
-        solved = [r for r in recs if not r["diverged"]]
-        feasible_count = sum(1 for r in recs if r["feasible"])
+        solved = [r for r in recs if r is not None]
+        feasible_count = sum(1 for r in solved if r["feasible"])
         rows.append(
             {
                 "kappa": kappa,
@@ -404,7 +407,6 @@ def _hist_trial(trial: int) -> dict | None:
         "counts": counts,
         "sum": float(x.sum()),
         "sumsq": float((x * x).sum()),
-        "count": x.size,
     }
 
 
@@ -443,7 +445,7 @@ def run_abundance_histogram(
     # Sums run in trial order, as the byte-identity across worker counts needs.
     solved = [rec for rec in results if rec is not None]
     counts = sum((rec["counts"] for rec in solved), np.zeros(bins, dtype=np.int64))
-    total = sum(rec["count"] for rec in solved)
+    total = len(solved) * cfg.n
     mean = sum(rec["sum"] for rec in solved) / total if total else math.nan
     variance = sum(rec["sumsq"] for rec in solved) / total - mean * mean if total else math.nan
     return HistogramResult(

@@ -14,10 +14,12 @@ import numpy as np
 import pytest
 import scipy
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import sparselv
-from sparselv import SweepConfig, __version__
+from sparselv import SweepConfig, __version__, experiments
 from sparselv.cli import EXIT_INVALID_CONFIG, EXIT_NUMERICAL_FAILURE, SOLVE_COLUMNS, main
+from sparselv.experiments import MODELS, run_trials
 
 
 def write_config(tmp_path, **kwargs):
@@ -278,8 +280,7 @@ class TestGap:
 
 
 # Every subcommand that writes a file; CONFIG stands for a config file path.
-# The ones in POOLED (all but pattern) run their trials through run_trials,
-# on one BLAS thread.
+# Each one runs its trials through run_trials, on one BLAS thread.
 SIDECAR_CASES = {
     "pattern": ["pattern", "--n", "60", "--d", "6"],
     "solve_csv": ["solve", "--n", "60", "--d", "6", "--kappa", "8.0"],
@@ -290,7 +291,6 @@ SIDECAR_CASES = {
     "spectrum": ["spectrum", "--config", "CONFIG", "--kappa", "8.0"],
     "gap": ["gap", "--n", "12", "--d", "3", "--trials", "3"],
 }
-POOLED = set(SIDECAR_CASES) - {"pattern"}
 
 
 @pytest.mark.parametrize("case", sorted(SIDECAR_CASES))
@@ -322,8 +322,7 @@ def test_sidecar_provenance(case, tmp_path):
     threads = meta["blas_threads"]  # per OpenBLAS library; empty without one
     assert isinstance(threads, dict)
     assert all(isinstance(v, int) and v >= 1 for v in threads.values())
-    if case in POOLED:
-        assert set(threads.values()) <= {1}
+    assert set(threads.values()) <= {1}
 
 
 class TestExitCodes:
@@ -378,7 +377,10 @@ class TestExitCodes:
         assert main(args) == EXIT_NUMERICAL_FAILURE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "did not converge in 10000 iterations (residual 8.78" in captured.err
+        assert captured.err == (
+            "numerical failure: Neumann solve did not converge in 10000 iterations "
+            "(residual 8.781e-07)\n"
+        )
 
     @pytest.mark.parametrize(
         "args",
@@ -436,6 +438,37 @@ def test_every_subcommand_reads_one_draw(model, fix_pattern, tmp_path):
     assert solve["min_x"] == sweep["mean_min_x"] == spectrum["min_x"]
     x = np.array(solve["x"])
     assert outs["dynamics"][0]["dist"] == pytest.approx(np.linalg.norm(0.5 - x), rel=1e-12)
+
+
+@st.composite
+def pattern_configs(draw):
+    """Small configs over the four models; n >= 2, so that trial 0 has an alpha."""
+    model = draw(st.sampled_from(MODELS))
+    mapping = {"model": model, "master_seed": draw(st.integers(0, 2**32)),
+               "fix_pattern": draw(st.booleans())}
+    if model == "block_permutation":
+        d = draw(st.integers(1, 5))
+        mapping.update(n=d * draw(st.integers(2 if d == 1 else 1, 6)), d=d)
+    elif model == "general_regular":
+        n = draw(st.integers(2, 24))
+        mapping.update(n=n, d=draw(st.integers(1, n)))
+    elif model == "proportional":
+        mapping.update(n=draw(st.integers(2, 24)), beta=draw(st.floats(0.01, 1.0)))
+    else:
+        mapping.update(n=draw(st.integers(2, 8)))
+    return mapping
+
+
+@settings(max_examples=25, deadline=None)
+@given(mapping=pattern_configs())
+def test_pattern_writes_trial_zeros_pattern(tmp_path_factory, mapping):
+    """The rows `sparselv pattern` writes are the pattern of trial 0's matrix."""
+    tmp = tmp_path_factory.mktemp("pattern")
+    out = tmp / "pattern.txt"
+    assert main(["pattern", "--config", write_config(tmp, **mapping), "--out", str(out)]) == 0
+    rows = np.loadtxt(out, dtype=np.int64, skiprows=1, ndmin=2)
+    [M], _ = run_trials(SweepConfig(**mapping), [(0, 0)], experiments._matrix)
+    np.testing.assert_array_equal(rows, M.pattern.row_cols)
 
 
 @pytest.mark.parametrize("kappa", ["0", "-1", "inf", "nan"])

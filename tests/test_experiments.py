@@ -464,6 +464,45 @@ def test_pool_forks_whatever_the_default_start_method(tmp_path):
     assert report["results"] == [{name: 1 for name in report["libs"]}] * 4
 
 
+# Run as a script with the probe path as argv[1]: maps a copy of numpy's
+# bundled OpenBLAS, deletes the file, then runs a sweep and prints the
+# threads each library ran on (null without a bundled OpenBLAS).
+DELETED_LIBRARY_SCRIPT = """
+import ctypes, glob, json, os, shutil, sys
+import numpy
+from sparselv import experiments
+
+bundled = sorted(glob.glob(os.path.dirname(numpy.__file__) + ".libs/*openblas*"))
+if not bundled:
+    print(json.dumps(None))
+    sys.exit()
+shutil.copy(bundled[0], sys.argv[1])
+ctypes.CDLL(sys.argv[1])
+os.remove(sys.argv[1])
+cfg = experiments.SweepConfig(n=12, d=3, kappa_grid=[4.0], trials_per_point=2)
+print(json.dumps(experiments.run_feasibility_sweep(cfg).provenance["blas_threads"]))
+"""
+
+
+def test_pin_covers_a_deleted_library_file(tmp_path):
+    # /proc/self/maps lists an unlinked file as "<path> (deleted)", as after
+    # an upgrade under a running interpreter; the pin must still load it.
+    script = tmp_path / "deleted_library.py"
+    script.write_text(DELETED_LIBRARY_SCRIPT)
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "libopenblas_probe.so")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    threads = json.loads(out.stdout)
+    if threads is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    assert threads["libopenblas_probe.so"] == 1
+    assert set(threads.values()) == {1}
+
+
 def test_singular_gap_trials():
     gaps = run_singular_gap_trials(n=30, d=4, trials=20, master_seed=7)
     assert len(gaps) == 20
