@@ -224,8 +224,7 @@ def cmd_dynamics(args) -> int:
     if args.out:
         # One row per traced species: its index, then its abundance at each time.
         t_header = ["species"] + [f"t={t:g}" for t in trace.record.times]
-        traces = trace.record.states[trace.species_indices]
-        t_rows = zip(trace.species_indices.tolist(), *traces.T.tolist())
+        t_rows = zip(trace.species_indices.tolist(), *trace.record.states.T.tolist())
         _write_text(args.out + ".traces.csv", _csv_text(t_header, t_rows))
     return 0
 

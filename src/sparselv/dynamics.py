@@ -7,9 +7,12 @@ RK45 (tables, initial step, error norm, step controller and dense
 output), so a run loads none of scipy's integrators; the tests keep
 ``solve_ivp`` as the reference.  The field is non-stiff in the regimes
 of interest (equilibrium Jacobian eigenvalues are O(1) negative), so
-stiffness shows up as an abort, never as silent degradation.  Jacobian
-spectra are computed one strongly connected component of the pattern at
-a time (for a block-permutation pattern, one cycle of sigma at a time).
+stiffness shows up as an abort, never as silent degradation.  The dense
+output is folded into the trajectory's per-sample statistics 32 samples
+at a time, so a run keeps the full trace of only the species asked for.
+Jacobian spectra are computed one strongly connected component of the
+pattern at a time (for a block-permutation pattern, one cycle of sigma
+at a time).
 """
 
 from __future__ import annotations
@@ -52,10 +55,11 @@ def lv_field(M: InteractionMatrix, x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class TrajectoryRecord:
-    """Sampled states with their per-time abundance statistics."""
+    """Per-sample abundance statistics of a run, and the sampled states of
+    the species rows it kept."""
 
     times: np.ndarray
-    states: np.ndarray  # (n, len(times))
+    states: np.ndarray  # (len(rows), len(times)): all n rows unless integrate_lv got rows
     min_series: np.ndarray
     max_series: np.ndarray
     mean_series: np.ndarray
@@ -80,38 +84,53 @@ def integrate_lv(
     abs_tol: float = 1e-10,
     sample_count: int = 200,
     reference: np.ndarray | None = None,
+    rows: np.ndarray | None = None,
 ) -> TrajectoryRecord:
     """Integrate the LV system over [0, t_end] with dense sampling at
     ``sample_count`` uniform times.
 
-    When ``reference`` is given, the Euclidean distance to it is recorded
-    per sample.  A clearly negative state (beyond the integrator noise
-    floor) or a step-size underflow aborts with :class:`IntegrationError`;
-    the partial record is attached.
+    The samples are reduced while the integration steps, at most
+    ``_BLOCK`` = 32 sample columns at a time, into the per-sample min, max
+    and mean, the final state and, when ``reference`` is given, the
+    Euclidean distance to it.  ``states`` keeps the species ``rows`` (all
+    of them by default) at every sample; with a few rows a run holds no
+    (n, samples) array.  A clearly negative state (beyond the integrator
+    noise floor) or a step-size underflow aborts with
+    :class:`IntegrationError`; the partial record is attached.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (M.n,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({M.n},)")
     if not np.isfinite(x0).all() or (x0 <= 0).any():
         raise ValueError("initial state must be finite and strictly positive")
+    if reference is not None:
+        reference = np.asarray(reference, dtype=np.float64)
+        if reference.shape != (M.n,):
+            raise ValueError(f"reference has shape {reference.shape}, expected ({M.n},)")
+        if not np.isfinite(reference).all():
+            raise ValueError("reference must be finite")
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 1 or ((rows < 0) | (rows >= M.n)).any():
+            raise ValueError(f"rows must be a list of species indices below {M.n}")
     if not 0 < t_end < np.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
 
     t_eval = np.linspace(0.0, t_end, max(2, sample_count))
-    states, t_stop = _dormand_prince(
-        lambda x: lv_field(M, x), x0, float(t_end), rel_tol, abs_tol, t_eval
+    blocks = _SampleBlocks(M.n, t_eval, reference, rows)
+    _, t_stop = _dormand_prince(
+        lambda x: lv_field(M, x), x0, float(t_end), rel_tol, abs_tol, t_eval, blocks.columns
     )
-    samples = states.shape[1]
-    record = _make_record(M, t_eval[:samples], states, reference) if samples else None
+    record = blocks.record()
     if t_stop < t_end:
         raise IntegrationError(
             f"integration aborted at t={t_stop:.5g}: Required step size is less "
             "than spacing between numbers.",
             record=record,
         )
-    if states.min() < -10.0 * abs_tol:
+    if record.min_series.min() < -10.0 * abs_tol:
         raise IntegrationError(
-            f"persistent negative state (min {states.min():.3e}) encountered",
+            f"persistent negative state (min {record.min_series.min():.3e}) encountered",
             record=record,
         )
     return record
@@ -145,15 +164,17 @@ def _rms(v):
     return np.linalg.norm(v) / v.size ** 0.5
 
 
-def _dormand_prince(fun, y, t_bound, rtol, atol, t_eval):
+def _dormand_prince(fun, y, t_bound, rtol, atol, t_eval, columns):
     """Integrate the autonomous y' = fun(y) from t = 0 to ``t_bound`` and
     sample the dense output at ``t_eval`` (sorted, within [0, t_bound]).
 
     Step by step the arithmetic, and its order, is scipy's RK45: the
     initial step of Hairer, Norsett & Wanner (II.4), the RMS error norm,
     the controller with safety 0.9 and factors in [0.2, 10], and a step
-    cut whenever the error norm is not below 1 (a NaN included).  Returns
-    the (n, k) samples reached and the time the integration stopped at,
+    cut whenever the error norm is not below 1 (a NaN included).  Samples
+    j to j + w - 1 are written, row chunk by row chunk, to the (n, w) array
+    ``columns(j, w)``, in order and at most ``_BLOCK`` at a time.  Returns
+    the number of samples reached and the time the integration stopped at,
     which is below ``t_bound`` when the step fell under ten float spacings.
     """
     rtol = max(rtol, 100 * np.finfo(float).eps)
@@ -170,7 +191,6 @@ def _dormand_prince(fun, y, t_bound, rtol, atol, t_eval):
     h_abs = min(100 * h0, h1, t_bound)
 
     K = np.empty((7, y.size))
-    states = np.empty((y.size, t_eval.size))
     t, done = 0.0, 0
     while t < t_bound:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -178,7 +198,7 @@ def _dormand_prince(fun, y, t_bound, rtol, atol, t_eval):
         rejected = False
         while True:
             if h_abs < min_step:
-                return np.ascontiguousarray(states[:, :done]), t
+                return done, t
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = np.abs(h)
@@ -200,17 +220,27 @@ def _dormand_prince(fun, y, t_bound, rtol, atol, t_eval):
         if upto > done:
             p = np.cumprod(np.tile((t_eval[done:upto] - t_old) / (t - t_old), (4, 1)), axis=0)
             Q = K.T.dot(_DP_P)
-            for a, b in _row_chunks(y.size):
-                states[a:b, done:upto] = (t - t_old) * np.dot(Q[a:b], p) + y_old[a:b, None]
+            # Pieces of near-equal width: a one-column piece of a longer step
+            # would take BLAS's matrix-vector path, which rounds differently.
+            pieces = -(-(upto - done) // _BLOCK)
+            cuts = [done + (upto - done) * i // pieces for i in range(pieces + 1)]
+            for j, k in zip(cuts[:-1], cuts[1:]):
+                out = columns(j, k - j)
+                for a, b in _row_chunks(y.size):
+                    out[a:b] = (t - t_old) * np.dot(Q[a:b], p[:, j - done:k - done]) + y_old[a:b, None]
             done = upto
-    return states, t
+    return done, t
 
 
 # Rows per chunk of the dense output and the distance series, whose
-# temporaries are (chunk, samples).  A chunk's product rounds like the whole
-# one's, except on OpenBLAS when a step spans over 192 samples at n > ~1300:
+# temporaries are (chunk, columns) with at most _BLOCK columns.  A chunk's
+# product rounds like the whole one's, except on OpenBLAS when a step spans over 192 samples at n > ~1300:
 # the whole product then leaves the small-matrix kernels.
 _CHUNK_ROWS = 256
+
+# Sample columns per block of the dense output: the stepper writes at most
+# this many samples before they are folded into the record's series.
+_BLOCK = 32
 
 
 def _row_chunks(n):
@@ -221,26 +251,76 @@ def _row_chunks(n):
     return zip(cuts[:-1], cuts[1:])
 
 
-def _make_record(M, times, states, reference):
-    distance = None
-    if reference is not None:
-        # norm(states - reference[:, None], axis=0) bit for bit: it adds the
-        # squared rows in order, as add.reduce does with the sums as row 0.
-        reference = np.asarray(reference, dtype=np.float64)
-        total = np.zeros(states.shape[1])
-        for a, b in _row_chunks(M.n):
-            diff = states[a:b] - reference[a:b, None]
-            total = np.add.reduce(np.vstack([total, diff * diff]), axis=0)
-        distance = np.sqrt(total)
-    return TrajectoryRecord(
-        times=times.copy(),
-        states=states,
-        min_series=states.min(axis=0),
-        max_series=states.max(axis=0),
-        mean_series=states.mean(axis=0),
-        final_state=states[:, -1].copy(),
-        distance_series=distance,
-    )
+def _row_sum(a):
+    """Sum over axis 0 adding the rows in order, as np.add.reduce does for
+    two or more columns; it sums a single column pairwise."""
+    return np.add.reduce(a, axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
+
+
+class _SampleBlocks:
+    """The dense output of one run, folded into a :class:`TrajectoryRecord`
+    a block of at most ``_BLOCK`` sample columns at a time.
+
+    The series equal those of the whole (n, samples) array bit for bit:
+    min, max, mean(axis=0), and norm(states - reference[:, None], axis=0),
+    whose sums add the rows in order.  Without ``rows`` the block is a view
+    into ``states``; with them it is an (n, _BLOCK) buffer whose ``rows``
+    are copied out as it is folded.
+    """
+
+    def __init__(self, n, times, reference, rows):
+        self.n, self.times, self.reference, self.rows = n, times, reference, rows
+        self.min, self.max, self.mean, self.distance = (np.empty(times.size) for _ in range(4))
+        self.states = np.empty((n if rows is None else rows.size, times.size))
+        self.buffer = None if rows is None else np.empty((n, min(_BLOCK, times.size)))
+        self.start = self.stop = 0  # samples of the block not folded yet
+
+    def columns(self, j, w):
+        """The (n, w) array that samples j to j + w - 1 are written to.  When
+        they do not fit in the current block, it is folded and a new one
+        starts at sample j."""
+        if j + w - self.start > _BLOCK:
+            self._fold()
+        self.stop = j + w
+        return self._block()[:, j - self.start:]
+
+    def _block(self):
+        if self.buffer is None:
+            return self.states[:, self.start:self.stop]
+        return self.buffer[:, :self.stop - self.start]
+
+    def _fold(self):
+        block, cols = self._block(), slice(self.start, self.stop)
+        self.min[cols] = block.min(axis=0)
+        self.max[cols] = block.max(axis=0)
+        self.mean[cols] = _row_sum(block) / self.n
+        if self.reference is not None:
+            total = np.zeros(block.shape[1])
+            for a, b in _row_chunks(self.n):
+                diff = block[a:b] - self.reference[a:b, None]
+                total = _row_sum(np.vstack([total, diff * diff]))
+            self.distance[cols] = np.sqrt(total)
+        if self.rows is not None:
+            self.states[:, cols] = block[self.rows]
+        self.start = self.stop
+
+    def record(self):
+        """Folds the last block and returns the record of the samples
+        reached, or None when there are none."""
+        if not self.stop:
+            return None
+        final_state = self._block()[:, -1].copy()
+        self._fold()
+        reached = slice(0, self.stop)
+        return TrajectoryRecord(
+            times=self.times[reached].copy(),
+            states=np.ascontiguousarray(self.states[:, reached]),
+            min_series=self.min[reached],
+            max_series=self.max[reached],
+            mean_series=self.mean[reached],
+            final_state=final_state,
+            distance_series=None if self.reference is None else self.distance[reached],
+        )
 
 
 @dataclass

@@ -243,7 +243,7 @@ def _ode_limit_support(M: InteractionMatrix, tol: float) -> np.ndarray:
     chunk = 50.0
     while t < 500.0:
         try:
-            tr = integrate_lv(M, x0, chunk, sample_count=2)
+            tr = integrate_lv(M, x0, chunk, sample_count=2, rows=[])
         except IntegrationError as exc:
             raise EquilibriumError(f"ode_limit: the dynamics from x0 = 1/2 failed: {exc}") from exc
         x0 = tr.final_state

@@ -469,30 +469,34 @@ def run_abundance_histogram(
 @dataclass
 class DynamicsTrace:
     record: TrajectoryRecord
-    species_indices: np.ndarray  # rows of record.states traced in full
+    species_indices: np.ndarray  # the species whose rows record.states holds, in order
     provenance: dict
 
 
-def _dynamics_trial(trial: int) -> TrajectoryRecord:
+def _dynamics_trial(trial: int) -> tuple[np.ndarray, TrajectoryRecord]:
     """Trajectory of one trial from x0 = 1/2, sampled at 201 times, with the
-    distance to the equilibrium when the solve converged feasible."""
+    distance to the equilibrium when the solve converged feasible, and the
+    full rows of 10 random species."""
     cfg: SweepConfig = _CTX["cfg"]
     M = _matrix((0, trial))
     report = _solve(M)
     reference = report.x if report is not None and report.feasible else None
-    return integrate_lv(M, np.full(cfg.n, 0.5), cfg.t_end, sample_count=201, reference=reference)
+    rng = np.random.default_rng(trial_seed(cfg.master_seed, 0, 1))
+    species = np.sort(rng.choice(cfg.n, size=min(10, cfg.n), replace=False))
+    record = integrate_lv(
+        M, np.full(cfg.n, 0.5), cfg.t_end, sample_count=201, reference=reference, rows=species
+    )
+    return species, record
 
 
 def run_dynamics_trace(cfg: SweepConfig, kappa: float) -> DynamicsTrace:
     """Trajectory of trial 0 through ``run_trials`` (one task, in-process,
-    one BLAS thread), plus 10 random species whose full traces the caller
-    reads from ``record.states``."""
+    one BLAS thread).  ``record.states`` holds the rows of 10 random
+    species only, listed in ``species_indices``."""
     cfg = replace(cfg, kappa_grid=[kappa])
     t0 = time.time()
-    [record], env = run_trials(cfg, [0], _dynamics_trial)
-    rng = np.random.default_rng(trial_seed(cfg.master_seed, 0, 1))
-    indices = np.sort(rng.choice(cfg.n, size=min(10, cfg.n), replace=False))
-    return DynamicsTrace(record, indices, _provenance(cfg, t0, env))
+    [(species, record)], env = run_trials(cfg, [0], _dynamics_trial)
+    return DynamicsTrace(record, species, _provenance(cfg, t0, env))
 
 
 @dataclass

@@ -239,6 +239,30 @@ class TestDynamics:
         assert t_header[0] == "species" and len(t_rows) == 10
         assert len(t_header) == 202
 
+    # SHA-256 of the CSV and of its .traces.csv, recorded when the trace
+    # stored the whole (n, samples) states array.
+    DIGESTS = {
+        "block_permutation": (
+            {"n": 1000, "d": 8, "t_end": 30.0}, "8",
+            "241edfa3f076f5e8b44f76859fc16ab0edd3d462351e0b0ba0fa2258d843d59c",
+            "24d45befcdebb4848e06d59f524ef203dfa6e4be6abd14c3b5021ae162598517",
+        ),
+        "general_regular": (
+            {"n": 300, "d": 6, "model": "general_regular", "t_end": 20.0, "master_seed": 3}, "4",
+            "52c52315a0742de5a1bf6d509a8894c7a9355a42e9e69727b0e5b346eb9b6df4",
+            "f1ac1681ddce2765e4a72244283799f779c9c55b567e0789775a17296ad68782",
+        ),
+    }
+
+    @pytest.mark.parametrize("model", sorted(DIGESTS))
+    def test_frozen_output_bytes(self, model, tmp_path):
+        config, kappa, *digests = self.DIGESTS[model]
+        out = str(tmp_path / "dyn.csv")
+        assert main(["dynamics", "--config", write_config(tmp_path, **config),
+                     "--kappa", kappa, "--out", out]) == 0
+        for path, digest in zip((out, out + ".traces.csv"), digests):
+            assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
+
 
 class TestSpectrum:
     def test_rows(self, capsys, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -107,6 +108,20 @@ class TestIntegrateLv:
             with pytest.raises(ValueError):
                 integrate_lv(M, np.ones(3), t_end)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"reference": np.ones(4)},
+        {"reference": np.ones(2)},
+        {"reference": np.array([1.0, np.nan, 1.0])},
+        {"rows": [3]},
+        {"rows": [-1]},
+        {"rows": [[0, 1]]},
+    ], ids=["reference_longer", "reference_shorter", "reference_nan",
+            "rows_past_n", "rows_negative", "rows_2d"])
+    def test_rejects_before_stepping(self, kwargs, monkeypatch):
+        monkeypatch.setattr(dynamics, "_dormand_prince", None)  # stepping would raise TypeError
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            integrate_lv(zero_matrix(3), np.ones(3), 1.0, **kwargs)
+
 
 class TestDormandPrince:
     """The in-package stepper against scipy's RK45, the reference it follows."""
@@ -145,9 +160,12 @@ class TestDormandPrince:
         M = assemble(build_pattern(cfg, pattern_seed(seed)), cfg.alpha(kappa), trial_seed(seed, 0, 0))
         x0 = np.full(n, 0.5)
         t_eval = np.linspace(0.0, t_end, sample_count)
-        states, t_stop = dynamics._dormand_prince(
-            lambda x: lv_field(M, x), x0, t_end, 1e-8, 1e-10, t_eval
+        states = np.empty((n, sample_count))
+        reached, t_stop = dynamics._dormand_prince(
+            lambda x: lv_field(M, x), x0, t_end, 1e-8, 1e-10, t_eval,
+            lambda j, w: states[:, j:j + w],
         )
+        states = states[:, :reached]
         sol = solve_ivp(lambda t, x: lv_field(M, x), (0.0, t_end), x0, method="RK45",
                         rtol=1e-8, atol=1e-10, t_eval=t_eval)
         assert (t_stop == t_end) == sol.success
@@ -353,6 +371,18 @@ class TestFootprint:
         assert tr.states.shape == (n, 201)
         assert peak < 1.25 * tr.states.nbytes
 
+    def test_reported_rows_hold_no_states_array(self):
+        n = 20_000
+        sigma = np.random.default_rng(2).permutation(n // 8)
+        M = assemble(block_permutation_pattern(n // 8, 8, sigma), alpha=3.0, seed=2)
+        reference = solve_feasibility(M).x
+        rows = np.random.default_rng(3).choice(n, size=10, replace=False)
+        tr, peak = _traced_peak(
+            integrate_lv, M, np.full(n, 0.5), 5.0, sample_count=201, reference=reference, rows=rows
+        )
+        assert tr.states.shape == (10, 201)
+        assert peak < 0.4 * n * 201 * 8
+
     @pytest.mark.parametrize("n", [1000, 1025])
     def test_chunks_change_no_bit(self, n, monkeypatch):
         assert len(list(dynamics._row_chunks(n))) > 1
@@ -404,6 +434,139 @@ class TestFootprint:
             )
             start += size
         assert start == M.n
+
+
+def _trial_matrix(model, n, d_index, kappa, seed):
+    """Trial 0's matrix of a seeded config, d being the ``d_index``-th
+    (cyclically) degree that the model admits at this n."""
+    degrees = [d for d in range(1, n + 1) if model == "general_regular" or n % d == 0]
+    cfg = SweepConfig(n=n, d=degrees[d_index % len(degrees)], model=model, master_seed=seed)
+    return assemble(build_pattern(cfg, pattern_seed(seed)), cfg.alpha(kappa), trial_seed(seed, 0, 0))
+
+
+def _assert_rows_change_no_bit(M, t_end, samples, reference, rows):
+    """Integrates from x0 = 1/2 keeping all rows, keeping ``rows``, and
+    folding all samples as one block, and checks that the records, or the
+    aborted runs' partial records, agree bit for bit and have the series of
+    the whole states array.  Returns the full record and the abort
+    message, if any."""
+
+    def run(rows):
+        try:
+            record = integrate_lv(M, np.full(M.n, 0.5), t_end, sample_count=samples,
+                                  reference=reference, rows=rows)
+            return record, None
+        except IntegrationError as exc:
+            return exc.record, str(exc)
+
+    (full, error), (part, part_error) = run(None), run(rows)
+    with mock.patch.object(dynamics, "_BLOCK", samples):
+        whole, whole_error = run(None)
+    assert part_error == error and whole_error == error
+    if full is None:
+        assert part is None and whole is None
+        return full, error
+    for name in ("times", "min_series", "max_series", "mean_series", "final_state",
+                 "distance_series"):
+        np.testing.assert_array_equal(getattr(part, name), getattr(full, name))
+        np.testing.assert_array_equal(getattr(whole, name), getattr(full, name))
+    states = full.states
+    np.testing.assert_array_equal(whole.states, states)
+    np.testing.assert_array_equal(part.states, states[rows])
+    np.testing.assert_array_equal(full.min_series, states.min(axis=0))
+    np.testing.assert_array_equal(full.max_series, states.max(axis=0))
+    np.testing.assert_array_equal(full.final_state, states[:, -1])
+    # The sums add the rows in order, which is what add.reduce along axis 0
+    # does once there are two or more samples.
+    np.testing.assert_array_equal(full.mean_series, np.cumsum(states, axis=0)[-1] / M.n)
+    if states.shape[1] > 1:
+        np.testing.assert_array_equal(full.mean_series, states.mean(axis=0))
+    if reference is None:
+        assert full.distance_series is None
+    else:
+        square = (states - reference[:, None]) ** 2
+        np.testing.assert_array_equal(full.distance_series, np.sqrt(np.cumsum(square, axis=0)[-1]))
+        if states.shape[1] > 1:
+            np.testing.assert_array_equal(
+                full.distance_series, np.linalg.norm(states - reference[:, None], axis=0)
+            )
+    return full, error
+
+
+class TestSampleBlocks:
+    """The dense output is folded into the record at most _BLOCK samples at
+    a time; which rows ``states`` keeps changes no bit of the record."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data=st.data(),
+        model=st.sampled_from(["block_permutation", "general_regular"]),
+        n=st.integers(2, 600),
+        d_index=st.integers(0, 40),
+        kappa=st.sampled_from([0.3, 1.0, 4.0, 8.0]),
+        t_end=st.sampled_from([0.001, 0.05, 1.0, 30.0]),
+        samples=st.integers(2, 201),
+        seed=st.integers(0, 2**16),
+        with_reference=st.booleans(),
+    )
+    def test_rows_change_no_bit(self, data, model, n, d_index, kappa, t_end, samples, seed,
+                                with_reference):
+        M = _trial_matrix(model, n, d_index, kappa, seed)
+        reference = np.random.default_rng(seed).uniform(0.0, 2.0, n) if with_reference else None
+        rows = data.draw(st.lists(st.integers(0, n - 1), max_size=12))
+        _assert_rows_change_no_bit(M, t_end, samples, reference, rows)
+
+    # Configs (model, n, d_index, kappa, t_end, samples, seed) whose runs
+    # reach the edges of the folding, found by a search over the space above.
+    EDGES = {
+        "first_step_over_a_block": ("block_permutation", 584, 33, 0.3, 0.05, 193, 49887),
+        "last_block_of_one_column": ("block_permutation", 578, 10, 0.2, 50.0, 65, 758),
+        "aborted_after_a_block": ("block_permutation", 593, 0, 0.3, 5.0, 100, 231),
+    }
+
+    @pytest.mark.parametrize("with_reference", [True, False])
+    @pytest.mark.parametrize("edge", sorted(EDGES))
+    def test_edges_change_no_bit(self, edge, with_reference, monkeypatch):
+        model, n, d_index, kappa, t_end, samples, seed = self.EDGES[edge]
+        M = _trial_matrix(model, n, d_index, kappa, seed)
+        reference = np.random.default_rng(seed).uniform(0.0, 2.0, n) if with_reference else None
+        evaluations, runs = [0], []
+        field = dynamics.lv_field
+
+        def counted_field(M, x):
+            evaluations[0] += 1
+            return field(M, x)
+
+        class Spy(dynamics._SampleBlocks):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.pieces, self.folds = [], []
+                runs.append(self)
+
+            def columns(self, j, w):
+                self.pieces.append((evaluations[0], w))
+                return super().columns(j, w)
+
+            def _fold(self):
+                self.folds.append(self.stop - self.start)
+                super()._fold()
+
+        monkeypatch.setattr(dynamics, "lv_field", counted_field)
+        monkeypatch.setattr(dynamics, "_SampleBlocks", Spy)
+        rows = np.random.default_rng(seed).choice(n, size=10, replace=False)
+        full, error = _assert_rows_change_no_bit(M, t_end, samples, reference, rows)
+        pieces, folds = runs[0].pieces, runs[0].folds  # the run that keeps all rows
+        assert 0 < max(folds) <= dynamics._BLOCK
+        # The pieces written after the same number of field evaluations
+        # belong to one step.
+        first_step = sum(w for count, w in pieces if count == pieces[0][0])
+        if edge == "first_step_over_a_block":
+            assert error is None and first_step > dynamics._BLOCK
+        elif edge == "last_block_of_one_column":
+            assert error is None and folds[-1] == 1
+        else:
+            assert error.startswith("integration aborted")
+            assert dynamics._BLOCK < full.times.size < samples
 
 
 class TestStabilityCertificate:

@@ -264,7 +264,7 @@ class TestDynamicsTrace:
     def test_trace_shapes_and_convergence(self):
         cfg = SweepConfig(n=60, d=6, master_seed=5, t_end=60.0)
         trace = run_dynamics_trace(cfg, kappa=8.0)
-        assert trace.record.states[trace.species_indices].shape == (10, 201)
+        assert trace.record.states.shape == (10, 201)
         assert len(trace.record.times) == 201
         assert len(set(trace.species_indices.tolist())) == 10
         # feasible regime: trajectory closes in on the linear equilibrium
