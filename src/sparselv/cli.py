@@ -29,15 +29,16 @@ from .experiments import (
     MODELS,
     ConfigError,
     SweepConfig,
+    _gap_run,
     _matrix,
     _pattern,
     _provenance,
-    one_blas_thread,
     run_abundance_histogram,
     run_dynamics_trace,
     run_feasibility_sweep,
     run_spectrum_check,
-    run_singular_gap_trials,
+    # Unused here; perfbench/tracing.py wraps it by this name.
+    run_singular_gap_trials,  # noqa: F401
     run_trials,
 )
 
@@ -244,12 +245,9 @@ def cmd_spectrum(args) -> int:
 
 def cmd_gap(args) -> int:
     t0 = time.time()
-    with one_blas_thread() as threads:  # the counts the trials ran on
-        gaps = run_singular_gap_trials(
-            args.n, args.d, args.trials, args.seed, model=args.model
-        )
+    gaps, env = _gap_run(args.n, args.d, args.trials, args.seed, args.model)
     meta = _provenance(
-        None, t0, {"workers": 1, "blas_threads": threads},
+        None, t0, env,
         n=args.n, d=args.d, model=args.model, trials=args.trials, seed=args.seed,
         min_over_trials=min(gaps),
     )

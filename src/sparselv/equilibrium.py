@@ -4,7 +4,13 @@ The linear equilibrium x = 1 + Mx is solved by Neumann fixed-point
 iteration (geometric convergence exactly when the spectral radius of M
 is below 1) and decomposed as x = 1 + Z/alpha + R/alpha^2, where Z
 collects the first-order Gaussian terms (i.i.d. N(0,1) by construction)
-and R the higher Neumann orders.
+and R the higher Neumann orders.  Each iteration is one call of
+``InteractionMatrix.unscaled_product``, scipy's private compiled kernel
+``scipy.sparse._sparsetools.csr_matvec`` with the bits of ``csr @ x`` (see
+``sparselv.interaction``; guarded by
+``tests/test_interaction.py::test_product_matches_csr_bytes``), into one of
+three buffers allocated per solve: the loop makes no scipy dispatch and
+allocates nothing.
 The nonnegative saturated equilibrium of the complementarity system is
 found either by support pivoting or as the long-time ODE limit.
 """
@@ -92,24 +98,27 @@ def solve_feasibility(
     of M >= 1; a residual that oscillates, as under a complex leading
     eigenvalue, is caught too).  If ``tol`` is not reached within
     ``max_iter`` the report is returned with ``converged=False``; ``x`` is
-    always finite.
+    always finite.  Raises ValueError for a ``tol`` that is not positive
+    and finite or a ``max_iter`` below 1.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    csr, scale = M._unscaled_csr(), M.scale
-    x = np.ones(M.n)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    scale = M.scale
+    # x is the iterate, y takes the next one, and step their difference;
+    # x and y swap each iteration.
+    x, y, step = np.ones(M.n), np.empty(M.n), np.empty(M.n)
     best = math.inf
     stalled = 0
-    iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
-        # x_next = 1 + Mx, then the step |x_next - x| in x's buffer; the
-        # same operations as 1 + M.matvec(x), so the same bits.
-        x_next = csr @ x
-        x_next *= scale
-        x_next += 1.0
-        np.subtract(x_next, x, out=x)
-        residual = float(np.abs(x, out=x).max())
+        # y = 1 + Mx with the operations of 1 + M.matvec(x), so the same bits.
+        M.unscaled_product(x, y)
+        y *= scale
+        y += 1.0
+        np.subtract(y, x, out=step)
+        residual = float(np.abs(step, out=step).max())
         stalled = 0 if residual < best else stalled + 1
         best = min(best, residual)
         if not math.isfinite(residual) or stalled >= 20:
@@ -118,7 +127,7 @@ def solve_feasibility(
                 f"(best {best:.3e}, not beaten for {stalled} iterations); "
                 "spectral radius of M is >= 1"
             )
-        x = x_next
+        x, y = y, x
         if residual <= tol:
             converged = True
             break
@@ -150,11 +159,10 @@ def neumann_summand(M: InteractionMatrix, k: int, l: int) -> float:
         raise ValueError(f"order must be >= 2, got {l}")
     if not (0 <= k < M.n):
         raise ValueError(f"index {k} out of range [0, {M.n})")
-    csr = M._unscaled_csr()
     inv_sqrt_d = 1.0 / math.sqrt(M.d)
     v = np.ones(M.n)
     for _ in range(l):
-        v = inv_sqrt_d * (csr @ v)
+        v = inv_sqrt_d * M.unscaled_product(v, np.empty(M.n))
     return float(v[k]) / M.alpha ** (l - 2)
 
 

@@ -549,14 +549,22 @@ def _gap_trial(trial: int) -> float:
     return singular_gap(_matrix((0, trial)))
 
 
-def run_singular_gap_trials(
-    n: int, d: int, trials: int, master_seed: int, model: str = "general_regular"
-) -> list[float]:
-    """Monte Carlo over the smallest consecutive singular-value gap of the
-    raw masked matrix (almost surely positive), on one fixed pattern; n >= 2."""
+def _gap_run(
+    n: int, d: int, trials: int, master_seed: int, model: str
+) -> tuple[list[float], dict]:
+    """The gaps of ``run_singular_gap_trials`` and the ``run_trials``
+    environment that ran them, for ``sparselv gap``'s sidecar."""
     cfg = SweepConfig(
         n=n, d=d, model=model, trials_per_point=trials, master_seed=master_seed,
     )
     if cfg.n < 2:
         raise ConfigError(f"gap needs n >= 2, got n={cfg.n}: a 1x1 matrix has no singular gap")
-    return run_trials(cfg, range(trials), _gap_trial)[0]
+    return run_trials(cfg, range(trials), _gap_trial)
+
+
+def run_singular_gap_trials(
+    n: int, d: int, trials: int, master_seed: int, model: str = "general_regular"
+) -> list[float]:
+    """Monte Carlo over the smallest consecutive singular-value gap of the
+    raw masked matrix (almost surely positive), on one fixed pattern; n >= 2."""
+    return _gap_run(n, d, trials, master_seed, model)[0]

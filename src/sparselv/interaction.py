@@ -5,6 +5,20 @@ Raw weights are kept separate from the scale so an alpha sweep can reuse a
 single Gaussian draw.  The largest singular value is taken of the unscaled
 matrix B = mask*A/sqrt(d) by default, which is the object the kappa = 22 norm
 envelope refers to.
+
+Every sparse product of the package goes through one method,
+``InteractionMatrix.unscaled_product``: the Neumann solve, ``matvec`` (and so
+the dynamics' vector field) and ``neumann_summand``.  It calls
+``scipy.sparse._sparsetools.csr_matvec``, the compiled kernel behind
+scipy's ``csr @ v``, on the pattern's shared index arrays and the raw
+weights, into a buffer the caller owns, without scipy's Python dispatch or
+a fresh output array per call.  The kernel adds each row's terms in column
+order to the buffer's 0.0, as ``csr @ v`` does after its ``np.zeros``, so
+the bits are those of ``csr @ v``.  The symbol is private to scipy; this is
+the package's one import of it, and
+``tests/test_interaction.py::test_product_matches_csr_bytes`` fails if a
+scipy release moves or changes it.  A CSR matrix (``_unscaled_csr``) is
+built only for spectra, ``svds``, dense expansion and the singular gap.
 """
 
 from __future__ import annotations
@@ -14,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 from scipy.sparse.linalg import svds
 
 from .patterns import AdjacencyPattern
@@ -80,21 +95,32 @@ class InteractionMatrix:
 
     def _unscaled_csr(self) -> sp.csr_matrix:
         # CSR of mask*A (raw weights, no normalization); built once.  Its
-        # data is a view of the weights; 32-bit indices where they fit.
+        # data is a view of the weights, its indices the pattern's.
         if self._csr is None:
-            n, d = self.n, self.d
-            index = np.int32 if n * d < 2**31 else np.int64
-            cols = self.pattern.row_cols.reshape(-1).astype(index)
-            indptr = np.arange(0, n * d + 1, d, dtype=index)
-            self._csr = sp.csr_matrix((self.weights.reshape(-1), cols, indptr), shape=(n, n))
+            indptr, indices = self.pattern.csr_index
+            self._csr = sp.csr_matrix(
+                (self.weights.reshape(-1), indices, indptr), shape=(self.n, self.n)
+            )
         return self._csr
+
+    def unscaled_product(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out = (mask*A) @ v`` with the raw weights, bit for bit as
+        ``self._unscaled_csr() @ v``; returns ``out``.  ``v`` and ``out``
+        are float64 vectors of length n that do not overlap.  Nothing is
+        checked: this is the inner loop of every solve."""
+        indptr, indices = self.pattern.csr_index
+        out.fill(0.0)
+        csr_matvec(self.n, self.n, indptr, indices, self.weights.reshape(-1), v, out)
+        return out
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         """Sparse product M @ v."""
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.n,):
             raise ValueError(f"vector has shape {v.shape}, expected ({self.n},)")
-        return self.scale * (self._unscaled_csr() @ v)
+        out = self.unscaled_product(v, np.empty(self.n))
+        out *= self.scale
+        return out
 
     def row_sums_unscaled(self) -> np.ndarray:
         """Row sums of mask*A / sqrt(d); these are the first-order Gaussian

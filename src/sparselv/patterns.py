@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,12 @@ class AdjacencyPattern:
     ``row_cols[i]`` holds the d column indices of row i, sorted ascending,
     so the position set is canonical (row-major) and two patterns are equal
     iff their ``row_cols`` arrays are equal.  Immutable after construction.
+
+    ``csr_index`` is the mask's CSR ``(indptr, indices)``, built on first
+    use and then shared, read-only, by every matrix on the pattern: the
+    compiled product of ``sparselv.interaction`` and the CSR of
+    ``InteractionMatrix._unscaled_csr`` both read it, so a trial on a fixed
+    pattern copies no index.  It is int32 where n * d < 2^31, else int64.
     """
 
     n: int
@@ -62,6 +69,16 @@ class AdjacencyPattern:
             raise ValueError(f"row_cols shape {rc.shape} != ({self.n}, {self.d})")
         object.__setattr__(self, "row_cols", rc)
         rc.setflags(write=False)
+
+    @cached_property
+    def csr_index(self) -> tuple[np.ndarray, np.ndarray]:
+        nnz = self.n * self.d
+        index = np.int32 if nnz < 2**31 else np.int64
+        indptr = np.arange(0, nnz + 1, self.d, dtype=index)
+        indices = self.row_cols.reshape(-1).astype(index, copy=False)
+        for a in (indptr, indices):
+            a.setflags(write=False)
+        return indptr, indices
 
     def dense(self) -> np.ndarray:
         """Expand to a dense 0/1 array (intended for small n)."""

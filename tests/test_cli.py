@@ -187,6 +187,17 @@ class TestSweep:
         text, seed = outs[("--seed", "5")]
         assert seed == 5 and text != outs[()][0]
 
+    # SHA-256 of the CSV, recorded when every Neumann product went through
+    # scipy's csr @ x; one kappa diverges, one is partly feasible.
+    DIGEST = "7a950cb57d394f87e17983bb970c77979892a4dbd6d2c5e04ab5ff6143ced619"
+
+    def test_frozen_output_bytes(self, tmp_path):
+        cfg = write_config(tmp_path, n=400, d=8, kappa_grid=[0.5, 1.6, 2.4, 8.0],
+                           trials_per_point=5)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGEST
+
     @pytest.mark.parametrize(
         "entry",
         ["trials_per_point: 2.5", "master_seed: 1.5", "fix_pattern: 'no'", "n: 100.0", "n: true",
@@ -225,6 +236,17 @@ class TestHistogram:
         meta = json.loads(open(out + ".meta.json").read())
         assert meta["pooled"] == sum(int(r[2]) for r in rows)
         assert abs(meta["mean"] - 1.0) < 0.05
+
+    # SHA-256 of the CSV, recorded when every Neumann product went through
+    # scipy's csr @ x: a general pattern per trial.
+    DIGEST = "09777794f7e773e43c0ccfeb3e315bf312350123b1f3125411b9740b45bbf35e"
+
+    def test_frozen_output_bytes(self, tmp_path):
+        cfg = write_config(tmp_path, n=300, d=6, model="general_regular", fix_pattern=False,
+                           trials_per_point=4, master_seed=3)
+        out = tmp_path / "hist.csv"
+        assert main(["histogram", "--config", cfg, "--kappa", "4", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGEST
 
 
 class TestDynamics:
@@ -295,6 +317,27 @@ class TestGap:
         assert lines[0] == "trial,min_gap"
         assert len(lines) == 6
         assert all(float(line.split(",")[1]) > 0.0 for line in lines[1:])
+
+    def test_one_blas_pin_per_run(self, monkeypatch, tmp_path):
+        # run_trials' pin is the only one: its env gives the sidecar's counts.
+        calls = []
+        openblas = experiments._openblas
+
+        def counted():
+            calls.append(1)
+            return openblas()
+
+        monkeypatch.setattr(experiments, "_openblas", counted)
+        out = tmp_path / "gap.csv"
+        assert main(["gap", "--n", "30", "--d", "4", "--trials", "5", "--seed", "2",
+                     "--out", str(out)]) == 0
+        assert len(calls) == 1
+        meta = json.loads((tmp_path / "gap.csv.meta.json").read_text())
+        assert meta["blas_threads"] == {name: 1 for name in openblas()}
+        gaps = experiments.run_singular_gap_trials(30, 4, 5, 2)
+        assert out.read_text() == "trial,min_gap\n" + "".join(
+            f"{t},{g!r}\n" for t, g in enumerate(gaps))
+        assert meta["min_over_trials"] == min(gaps)
 
     def test_one_species_is_invalid(self, capsys):
         assert main(["gap", "--n", "1", "--d", "1", "--trials", "3"]) == EXIT_INVALID_CONFIG

@@ -83,6 +83,18 @@ class TestSolveFeasibility:
         with pytest.raises(DivergenceError):
             solve_feasibility(rotation_2x2(1.06, 1.4))
 
+    @pytest.mark.parametrize(
+        "bad", [{"tol": math.nan}, {"tol": math.inf}, {"max_iter": 0}, {"max_iter": -5}],
+        ids=["tol_nan", "tol_inf", "max_iter_0", "max_iter_negative"],
+    )
+    def test_invalid_tol_or_max_iter_refused(self, bad):
+        # Unchecked, tol=nan ran into a "divergence" once the residual hit
+        # 0.0, tol=inf "converged" after one step, and max_iter < 1
+        # returned x = 1 after no iteration.
+        M = assemble(general_regular_pattern(200, 6, 3), alpha=4.0, seed=5)
+        with pytest.raises(ValueError, match="tol|max_iter"):
+            solve_feasibility(M, **bad)
+
     def test_partial_report_flagged(self):
         rep = solve_feasibility(off_diagonal_2x2(0.999), tol=1e-14, max_iter=30)
         assert not rep.converged

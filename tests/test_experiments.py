@@ -5,10 +5,12 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sparselv import ConfigError, PatternModel, SweepConfig, cli, experiments
 from sparselv.experiments import (
@@ -501,6 +503,35 @@ def test_pin_covers_a_deleted_library_file(tmp_path):
         pytest.skip("numpy bundles no OpenBLAS")
     assert threads["libopenblas_probe.so"] == 1
     assert set(threads.values()) == {1}
+
+
+def test_sweep_and_histogram_trials_build_no_csr_matrix(monkeypatch):
+    # Their Neumann solves call the compiled kernel on the pattern's index
+    # arrays; a CSR matrix is built only for spectra and dense expansion.
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a trial built a csr_matrix")
+
+    monkeypatch.setattr(sp.csr_matrix, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built a csr_matrix"):
+        sp.csr_matrix(np.eye(2))
+    cfg = SweepConfig(n=60, d=6, kappa_grid=[1.0, 4.0], trials_per_point=2)
+    tasks = [(0, 0), (1, 1)]
+    sweep, _ = run_trials(cfg, tasks, experiments._sweep_trial)
+    assert all(r is not None for r in sweep)
+    edges = np.linspace(0.0, 2.0, 11)
+    hist, _ = run_trials(replace(cfg, fix_pattern=False), [0, 1], experiments._hist_trial,
+                         edges=edges)
+    assert all(r is not None for r in hist)
+
+
+def test_trials_on_a_fixed_pattern_share_index_arrays():
+    cfg = SweepConfig(n=60, d=6, kappa_grid=[2.0, 4.0], trials_per_point=2)
+    (a, b), _ = run_trials(cfg, [(0, 0), (1, 1)], experiments._matrix)
+    assert a.weights.tobytes() != b.weights.tobytes()
+    csr_a, csr_b = a._unscaled_csr(), b._unscaled_csr()
+    assert csr_a.indptr is csr_b.indptr
+    assert np.shares_memory(csr_a.indices, csr_b.indices)
+    assert a.pattern.csr_index is b.pattern.csr_index
 
 
 def test_singular_gap_trials():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from sparselv import (
     assemble,
@@ -86,9 +88,51 @@ def test_weights_read_only_and_shared_by_the_csr():
     csr = M._unscaled_csr()
     assert np.shares_memory(csr.data, M.weights)
     assert csr.indices.dtype == csr.indptr.dtype == np.int32
+    # The index arrays are the pattern's, read-only as the weights are.
+    indptr, indices = M.pattern.csr_index
+    assert csr.indptr is indptr and np.shares_memory(csr.indices, indices)
+    assert not indptr.flags.writeable and not indices.flags.writeable
     M2 = M.with_alpha(4.0)
     assert M2.weights is M.weights
     np.testing.assert_allclose(M2.dense(), M.dense() / 2.0, rtol=1e-15)
+
+
+@st.composite
+def product_cases(draw):
+    """A matrix on a block or general pattern with n <= 300, and a vector
+    with zeros and mixed signs, sometimes a strided view."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        d = draw(st.integers(1, 30))
+        m = draw(st.integers(1, 300 // d))
+        pattern = block_permutation_pattern(m, d, np.random.default_rng(seed).permutation(m))
+    else:
+        n = draw(st.integers(1, 300))
+        pattern = general_regular_pattern(n, draw(st.integers(1, n)), rng_seed=seed)
+    M = assemble(pattern, alpha=draw(st.floats(0.5, 8.0)), seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    stride = draw(st.sampled_from([1, 2, 3]))
+    v = rng.standard_normal(stride * M.n) * rng.choice([0.0, 1.0, -1e-3, 1e3], stride * M.n)
+    return M, v[::stride]
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_cases(), st.booleans())
+def test_product_matches_csr_bytes(case, wide_index):
+    # The shared product calls scipy's private compiled CSR kernel directly;
+    # it must give the bytes of csr @ v, from a CSR built here from row_cols.
+    M, v = case
+    n, d = M.n, M.d
+    reference = sp.csr_matrix(
+        (M.weights.reshape(-1), M.pattern.row_cols.reshape(-1), np.arange(0, n * d + 1, d)),
+        shape=(n, n),
+    ) @ v
+    if wide_index:  # the int64 index path of n * d >= 2^31, forced on a small pattern
+        vars(M.pattern)["csr_index"] = tuple(a.astype(np.int64) for a in M.pattern.csr_index)
+    out = np.full(n, np.nan)
+    assert M.unscaled_product(v, out) is out
+    assert out.tobytes() == reference.tobytes()
+    assert M.matvec(v).tobytes() == (M.scale * (M._unscaled_csr() @ v)).tobytes()
 
 
 def test_scaling_covariance():
