@@ -3,8 +3,9 @@
 Subcommands: pattern, solve, sweep, histogram, dynamics, spectrum, gap.
 Outputs are plot-ready CSV or JSON, and only this module decides their
 formats; the layers below return numbers and dict rows.  File outputs get
-a meta.json sidecar with the run's provenance: config echo, workers, BLAS
-threads, version and wall time.  Exit codes: 0 success, 2 invalid config
+a meta.json sidecar: the record that ``run_trials`` writes for the run
+(config echo, workers, BLAS threads, versions and wall time), plus the
+command's own summaries.  Exit codes: 0 success, 2 invalid config
 or a file that cannot be read or written, 3 numerical failure.
 """
 
@@ -16,7 +17,6 @@ import io
 import json
 import math
 import sys
-import time
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from .experiments import (
     _gap_run,
     _matrix,
     _pattern,
-    _provenance,
     run_abundance_histogram,
     run_dynamics_trace,
     run_feasibility_sweep,
@@ -155,17 +154,21 @@ def _write_rows(args, header, rows, meta=None):
 
 
 def cmd_pattern(args) -> int:
-    t0 = time.time()
     cfg = _load_config(
         args, n=args.n, d=args.d, model=args.model, beta=args.beta,
     )
-    [pattern], env = run_trials(cfg, [(0, 0)], _pattern)
-    _write_text(args.out, _pattern_text(pattern), _provenance(cfg, t0, env))
+    [pattern], meta = run_trials(cfg, [(0, 0)], _pattern)
+    _write_text(args.out, _pattern_text(pattern), meta)
     return 0
 
 
+def _solved(task):
+    """``solve``'s one trial: the matrix of ``task`` and its Neumann report."""
+    M = _matrix(task)
+    return M, solve_feasibility(M)
+
+
 def cmd_solve(args) -> int:
-    t0 = time.time()
     cfg = _load_config(
         args, n=args.n, d=args.d, model=args.model, beta=args.beta,
         kappa_grid=[args.kappa] if args.kappa is not None else None,
@@ -175,14 +178,12 @@ def cmd_solve(args) -> int:
             f"solve takes one kappa, but the config grid is {cfg.kappa_grid}; "
             "pass --kappa"
         )
-    [M], env = run_trials(cfg, [(0, 0)], _matrix)
-    report = solve_feasibility(M)
+    [(M, report)], meta = run_trials(cfg, [(0, 0)], _solved)
     if not report.converged:
         raise EquilibriumError(
             f"Neumann solve did not converge in {report.solver_iterations} "
             f"iterations (residual {report.residual_inf:.3e})"
         )
-    meta = _provenance(cfg, t0, env)
     row = [getattr(report, c) for c in SOLVE_COLUMNS[:5]]
     row += [getattr(M, c) for c in SOLVE_COLUMNS[5:]]  # alpha, n, d, seed
     if args.format == "json" or args.full_state:
@@ -244,13 +245,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    t0 = time.time()
-    gaps, env = _gap_run(args.n, args.d, args.trials, args.seed, args.model)
-    meta = _provenance(
-        None, t0, env,
-        n=args.n, d=args.d, model=args.model, trials=args.trials, seed=args.seed,
-        min_over_trials=min(gaps),
-    )
+    gaps, record = _gap_run(args.n, args.d, args.trials, args.seed, args.model)
+    meta = {**record, "min_over_trials": min(gaps)}
     _write_rows(args, ["trial", "min_gap"], list(enumerate(gaps)), meta)
     return 0
 

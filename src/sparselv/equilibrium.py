@@ -5,12 +5,8 @@ iteration (geometric convergence exactly when the spectral radius of M
 is below 1) and decomposed as x = 1 + Z/alpha + R/alpha^2, where Z
 collects the first-order Gaussian terms (i.i.d. N(0,1) by construction)
 and R the higher Neumann orders.  Each iteration is one call of
-``InteractionMatrix.unscaled_product``, scipy's private compiled kernel
-``scipy.sparse._sparsetools.csr_matvec`` with the bits of ``csr @ x`` (see
-``sparselv.interaction``; guarded by
-``tests/test_interaction.py::test_product_matches_csr_bytes``), into one of
-three buffers allocated per solve: the loop makes no scipy dispatch and
-allocates nothing.
+``InteractionMatrix.unscaled_product`` (see ``sparselv.interaction``) into
+one of three buffers allocated per solve: the loop allocates nothing.
 The nonnegative saturated equilibrium of the complementarity system is
 found either by support pivoting or as the long-time ODE limit.
 """

@@ -19,9 +19,9 @@ once.  ``_pattern(task)`` returns that cached pattern, or else trial
 ``task = (kappa_index, trial)``'s own, and ``_matrix(task)`` draws on it
 the seeded matrix at the alpha of ``cfg.kappa_grid[kappa_index]``; the
 single-kappa drivers run on the grid ``[kappa]``, which their sidecars
-echo.  ``pattern`` and ``solve`` run these trial functions as the one task
-``(0, 0)``; the dynamics trace is a one-task call too.  No subcommand
-builds a pattern or a matrix outside a trial function.
+echo.  ``pattern`` runs ``_pattern``, and ``solve`` a trial that draws with
+``_matrix`` and solves, as the one task ``(0, 0)``; the dynamics trace is
+a one-task call too.  No subcommand builds, draws or solves outside a trial.
 
 ``run_trials`` pins the bundled OpenBLAS libraries to one thread for its
 whole body (see ``one_blas_thread``), so every trial, and every eigensolve
@@ -31,10 +31,11 @@ That holds only under the ``fork`` start method, so the pool asks for it
 explicitly rather than taking the default (``forkserver`` on Linux from
 Python 3.14).
 
-Each driver's ``provenance`` comes from ``_provenance``: config echo,
-driver-specific keys, the worker count and BLAS threads per library that
-``run_trials`` returned, the python, numpy and scipy versions, package
-version and wall time.
+``run_trials`` returns the results with the run's sidecar record:
+``config`` (``cfg.echo()``), ``workers``, ``blas_threads`` (per library, as
+the trials saw them), the ``python``, ``numpy``, ``scipy`` and package
+``version`` and ``wall_time_s``, the wall time of the engine call.  Drivers
+return it as their ``provenance``; the histogram adds its ``bins``.
 """
 
 from __future__ import annotations
@@ -285,11 +286,11 @@ def one_blas_thread():
 
 def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1, **extra):
     """``[trial_fn(task) for task in tasks]``, in-process or in a pool of
-    at most ``workers`` processes, on one BLAS thread; see the module
-    docstring.  Returns the results and the ``{"workers", "blas_threads"}``
-    that ran them, for the provenance.  Raises ValueError for ``workers < 1``."""
+    at most ``workers`` processes, on one BLAS thread, and the run's sidecar
+    record; see the module docstring.  Raises ValueError for ``workers < 1``."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    t0 = time.time()
     with one_blas_thread() as threads:
         if workers == 1:
             _init(cfg, extra)
@@ -303,15 +304,8 @@ def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1, **extra):
                 initializer=_init, initargs=(cfg, extra),
             ) as pool:
                 results = list(pool.map(trial_fn, tasks, chunksize=chunk))
-    return results, {"workers": workers, "blas_threads": threads}
-
-
-def _provenance(cfg: SweepConfig | None, t0: float, env: dict, **extra) -> dict:
-    """Sidecar record of a run that started at ``time.time() == t0``, with
-    the worker count and BLAS threads ``env`` that ``run_trials`` returned."""
-    config = {} if cfg is None else {"config": cfg.echo()}
-    return {
-        **config, **extra, **env,
+    return results, {
+        "config": cfg.echo(), "workers": workers, "blas_threads": threads,
         "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
         "version": __version__, "wall_time_s": time.time() - t0,
     }
@@ -365,10 +359,9 @@ def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
     they are never dropped.  ``mean_min_x`` and ``mean_max_R_normalized``
     average over the solved trials.
     """
-    t0 = time.time()
     T = cfg.trials_per_point
     tasks = [(ki, t) for ki in range(len(cfg.kappa_grid)) for t in range(T)]
-    results, env = run_trials(cfg, tasks, _sweep_trial, workers)
+    results, record = run_trials(cfg, tasks, _sweep_trial, workers)
 
     rows = []
     for ki, kappa in enumerate(cfg.kappa_grid):
@@ -387,7 +380,7 @@ def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
                 "mean_max_R_normalized": _mean([r["max_R_normalized"] for r in solved]),
             }
         )
-    return SweepResult(rows=rows, provenance=_provenance(cfg, t0, env))
+    return SweepResult(rows=rows, provenance=record)
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +431,9 @@ def run_abundance_histogram(
             "histogram is meant for the feasible regime",
             RuntimeWarning,
         )
-    t0 = time.time()
     edges = np.linspace(1.0 - 8.0 / alpha, 1.0 + 8.0 / alpha, bins + 1)
-    results, env = run_trials(cfg, range(cfg.trials_per_point), _hist_trial, workers, edges=edges)
+    results, record = run_trials(cfg, range(cfg.trials_per_point), _hist_trial, workers,
+                                 edges=edges)
 
     # Sums run in trial order, as the byte-identity across worker counts needs.
     solved = [rec for rec in results if rec is not None]
@@ -457,7 +450,7 @@ def run_abundance_histogram(
         pooled=total,
         trials=cfg.trials_per_point,
         diverged=len(results) - len(solved),
-        provenance=_provenance(cfg, t0, env, bins=bins),
+        provenance={**record, "bins": bins},
     )
 
 
@@ -494,9 +487,8 @@ def run_dynamics_trace(cfg: SweepConfig, kappa: float) -> DynamicsTrace:
     one BLAS thread).  ``record.states`` holds the rows of 10 random
     species only, listed in ``species_indices``."""
     cfg = replace(cfg, kappa_grid=[kappa])
-    t0 = time.time()
-    [(species, record)], env = run_trials(cfg, [0], _dynamics_trial)
-    return DynamicsTrace(record, species, _provenance(cfg, t0, env))
+    [(species, record)], provenance = run_trials(cfg, [0], _dynamics_trial)
+    return DynamicsTrace(record, species, provenance)
 
 
 @dataclass
@@ -533,15 +525,14 @@ def run_spectrum_check(cfg: SweepConfig, kappa: float, workers: int = 1) -> Spec
     thread, so the rows are identical for every worker count.
     """
     cfg = replace(cfg, kappa_grid=[kappa])
-    t0 = time.time()
-    results, env = run_trials(cfg, range(cfg.trials_per_point), _spectrum_trial, workers)
+    results, record = run_trials(cfg, range(cfg.trials_per_point), _spectrum_trial, workers)
     rows = [r for r in results if r is not None]
     return SpectrumSweepResult(
         rows=rows,
         skipped=len(results) - len(rows),
         mean_max_real_part=_mean([r["max_real_part"] for r in rows]),
         mean_localization_error=_mean([r["localization_error"] for r in rows]),
-        provenance=_provenance(cfg, t0, env),
+        provenance=record,
     )
 
 
@@ -553,7 +544,7 @@ def _gap_run(
     n: int, d: int, trials: int, master_seed: int, model: str
 ) -> tuple[list[float], dict]:
     """The gaps of ``run_singular_gap_trials`` and the ``run_trials``
-    environment that ran them, for ``sparselv gap``'s sidecar."""
+    record of their run, for ``sparselv gap``'s sidecar."""
     cfg = SweepConfig(
         n=n, d=d, model=model, trials_per_point=trials, master_seed=master_seed,
     )

@@ -24,7 +24,7 @@ built only for spectra, ``svds``, dense expansion and the singular gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,13 +57,13 @@ class InteractionMatrix:
     ``weights[i, j]`` is the standard-Gaussian draw at position
     (i, pattern.row_cols[i, j]); drawing is counter-based in canonical
     row-major order, so the weight vector depends only on the seed.
+    ``weights`` is a read-only view; the array passed in stays writable.
     """
 
     pattern: AdjacencyPattern
     weights: np.ndarray  # shape (n, d), float64
     alpha: float
     seed: int | None = None
-    _csr: sp.csr_matrix | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.alpha <= 0:
@@ -73,7 +73,9 @@ class InteractionMatrix:
             raise ValueError(
                 f"weights shape {w.shape} != ({self.pattern.n}, {self.pattern.d})"
             )
-        w.setflags(write=False)  # the cached CSR shares this memory
+        if w.flags.writeable:  # freeze a view, not the caller's array
+            w = w.view()
+            w.setflags(write=False)
         self.weights = w
 
     @property
@@ -89,19 +91,14 @@ class InteractionMatrix:
         return 1.0 / (self.alpha * math.sqrt(self.d))
 
     def with_alpha(self, alpha: float) -> "InteractionMatrix":
-        """Same Gaussian draw, different interaction strength; shares the
-        weights and the cached unscaled CSR."""
-        return InteractionMatrix(self.pattern, self.weights, alpha, self.seed, self._csr)
+        """Same Gaussian draw, different interaction strength; shares the weights."""
+        return replace(self, alpha=alpha)
 
     def _unscaled_csr(self) -> sp.csr_matrix:
-        # CSR of mask*A (raw weights, no normalization); built once.  Its
-        # data is a view of the weights, its indices the pattern's.
-        if self._csr is None:
-            indptr, indices = self.pattern.csr_index
-            self._csr = sp.csr_matrix(
-                (self.weights.reshape(-1), indices, indptr), shape=(self.n, self.n)
-            )
-        return self._csr
+        # CSR of mask*A (raw weights, no normalization).  Its data is a view
+        # of the weights, its indices the pattern's.
+        indptr, indices = self.pattern.csr_index
+        return sp.csr_matrix((self.weights.reshape(-1), indices, indptr), shape=(self.n, self.n))
 
     def unscaled_product(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = (mask*A) @ v`` with the raw weights, bit for bit as

@@ -47,7 +47,8 @@ class AdjacencyPattern:
 
     ``row_cols[i]`` holds the d column indices of row i, sorted ascending,
     so the position set is canonical (row-major) and two patterns are equal
-    iff their ``row_cols`` arrays are equal.  Immutable after construction.
+    iff their ``row_cols`` arrays are equal.  ``row_cols`` is a read-only
+    view; the array passed in stays writable.
 
     ``csr_index`` is the mask's CSR ``(indptr, indices)``, built on first
     use and then shared, read-only, by every matrix on the pattern: the
@@ -67,8 +68,10 @@ class AdjacencyPattern:
         rc = np.asarray(self.row_cols, dtype=np.int64)
         if rc.shape != (self.n, self.d):
             raise ValueError(f"row_cols shape {rc.shape} != ({self.n}, {self.d})")
+        if rc.flags.writeable:  # freeze a view, not the caller's array
+            rc = rc.view()
+            rc.setflags(write=False)
         object.__setattr__(self, "row_cols", rc)
-        rc.setflags(write=False)
 
     @cached_property
     def csr_index(self) -> tuple[np.ndarray, np.ndarray]:

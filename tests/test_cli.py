@@ -7,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import yaml
 from hypothesis import given, settings, strategies as st
 
 import sparselv
-from sparselv import SweepConfig, __version__, experiments
+from sparselv import SweepConfig, __version__, cli, experiments
 from sparselv.cli import EXIT_INVALID_CONFIG, EXIT_NUMERICAL_FAILURE, SOLVE_COLUMNS, main
 from sparselv.experiments import MODELS, run_trials
 
@@ -123,6 +124,20 @@ class TestSolve:
         assert payload["n"] == 60
         meta = json.loads(open(out + ".meta.json").read())
         assert meta["config"]["n"] == 60
+
+    def test_wall_time_covers_the_solve(self, monkeypatch, tmp_path):
+        # The solve runs inside run_trials, whose wall time the sidecar records.
+        solve = cli.solve_feasibility
+
+        def slow(M):
+            time.sleep(0.2)
+            return solve(M)
+
+        monkeypatch.setattr(cli, "solve_feasibility", slow)
+        out = str(tmp_path / "solve.csv")
+        assert main(self.ARGS + ["--out", out]) == 0
+        meta = json.loads(open(out + ".meta.json").read())
+        assert meta["wall_time_s"] >= 0.2
 
 
 class TestSweep:
@@ -373,8 +388,10 @@ def test_sidecar_provenance(case, tmp_path):
     assert meta["version"] == __version__
     assert meta["python"] == platform.python_version()
     assert (meta["numpy"], meta["scipy"]) == (np.__version__, scipy.__version__)
-    if case == "gap":  # gap echoes its flags instead of a config
-        assert (meta["n"], meta["d"], meta["model"]) == (12, 3, "general_regular")
+    if case == "gap":  # gap echoes the config its flags make
+        echo = meta["config"]
+        assert (echo["n"], echo["d"], echo["model"]) == (12, 3, "general_regular")
+        assert (echo["trials_per_point"], echo["master_seed"]) == (3, 0)
     else:
         assert meta["config"]["n"] == 60
     if "--kappa" in argv:

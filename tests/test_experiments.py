@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import time
@@ -10,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 import scipy.sparse as sp
 
+import sparselv
 from sparselv import ConfigError, PatternModel, SweepConfig, cli, experiments
 from sparselv.experiments import (
     MODELS,
@@ -374,10 +377,16 @@ class TestRunTrials:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_trials_run_on_one_blas_thread(self, workers, caller_threads):
-        results, env = run_trials(self.CFG, range(3), _pid_and_threads, workers)
+        results, record = run_trials(self.CFG, range(3), _pid_and_threads, workers)
         ones = {name: 1 for name in caller_threads}
         assert [threads for _, threads in results] == [ones] * 3
-        assert env == {"workers": workers, "blas_threads": ones}
+        wall_time = record.pop("wall_time_s")
+        assert isinstance(wall_time, float) and wall_time >= 0.0
+        assert record == {
+            "config": self.CFG.echo(), "workers": workers, "blas_threads": ones,
+            "python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__, "version": sparselv.__version__,
+        }
         assert experiments.blas_threads() == caller_threads
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -417,15 +426,15 @@ class TestRunTrials:
             init(cfg, extra)
 
         monkeypatch.setattr(experiments, "_init", logged)
-        results, env = run_trials(self.CFG, range(2), _pid_and_threads, workers=4)
-        assert env["workers"] == 2
+        results, record = run_trials(self.CFG, range(2), _pid_and_threads, workers=4)
+        assert record["workers"] == 2
         assert len(set(started.read_text().split())) == 2
         assert len({pid for pid, _ in results}) <= 2
 
     def test_one_task_runs_in_one_worker(self):
         # Pooled, so the trial's memory stays out of the caller.
-        results, env = run_trials(self.CFG, [0], _pid_and_threads, workers=3)
-        assert env["workers"] == 1
+        results, record = run_trials(self.CFG, [0], _pid_and_threads, workers=3)
+        assert record["workers"] == 1
         assert results[0][0] != os.getpid()
 
 

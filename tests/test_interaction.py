@@ -6,6 +6,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from sparselv import (
+    InteractionMatrix,
     assemble,
     block_permutation_pattern,
     full_pattern,
@@ -95,6 +96,14 @@ def test_weights_read_only_and_shared_by_the_csr():
     M2 = M.with_alpha(4.0)
     assert M2.weights is M.weights
     np.testing.assert_allclose(M2.dense(), M.dense() / 2.0, rtol=1e-15)
+
+
+def test_caller_weights_stay_writable():
+    # The matrix freezes a view; the float64 array passed in is not copied.
+    w = np.array([[0.5], [0.5]])
+    M = InteractionMatrix(block_permutation_pattern(2, 1, [1, 0]), w, 1.0)
+    w[0, 0] = 2.0
+    assert not M.weights.flags.writeable and np.shares_memory(M.weights, w)
 
 
 @st.composite

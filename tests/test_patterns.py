@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparselv import (
+    AdjacencyPattern,
     PatternModel,
     block_permutation_pattern,
     general_regular_pattern,
@@ -181,3 +182,11 @@ def test_table_and_scan_agree(n, data, seed):
         mp.setattr(patterns, "_TABLE_RATIO", 0)  # never the table
         scan = general_regular_pattern(n, d, rng_seed=seed).row_cols
     np.testing.assert_array_equal(table, scan)
+
+
+def test_caller_row_cols_stay_writable():
+    # The pattern freezes a view; the int64 array passed in is not copied.
+    rc = np.array([[1], [0]], dtype=np.int64)
+    p = AdjacencyPattern(2, 1, PatternModel.BLOCK_PERMUTATION, rc)
+    rc[0, 0] = 0
+    assert not p.row_cols.flags.writeable and np.shares_memory(p.row_cols, rc)
