@@ -213,6 +213,7 @@ def cmd_histogram(args) -> int:
         "mean": result.mean,
         "variance": result.variance,
         "pooled": result.pooled,
+        "outside": result.outside,
         "diverged": result.diverged,
     }
     _write_rows(args, ("bin_left", "bin_right", "count"), rows, meta)

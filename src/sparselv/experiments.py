@@ -411,6 +411,7 @@ class HistogramResult:
     mean: float
     variance: float
     pooled: int
+    outside: int
     trials: int
     diverged: int
     provenance: dict
@@ -420,7 +421,9 @@ def run_abundance_histogram(
     cfg: SweepConfig, kappa: float, bins: int = 60, workers: int = 1
 ) -> HistogramResult:
     """Pool equilibrium abundances across trials; the sample mean and
-    variance are reported for comparison against (1, 1/alpha^2)."""
+    variance are reported for comparison against (1, 1/alpha^2).  The bins
+    span 1 +- 8/alpha; ``outside`` counts the pooled abundances beyond them,
+    which the moments include and the counts do not."""
     cfg = replace(cfg, kappa_grid=[kappa])
     alpha = cfg.alpha(kappa)
     if bins < 1:
@@ -448,6 +451,7 @@ def run_abundance_histogram(
         mean=mean,
         variance=variance,
         pooled=total,
+        outside=total - int(counts.sum()),
         trials=cfg.trials_per_point,
         diverged=len(results) - len(solved),
         provenance={**record, "bins": bins},

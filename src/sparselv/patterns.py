@@ -127,18 +127,24 @@ _TABLE_RATIO = 24
 
 
 def _permutation_layers(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """n x d int32 array whose columns are random permutations of range(n)
-    and whose rows hold d distinct entries; needs d <= n / 2.
+    """n x d int64 array of sorted rows, each of d distinct entries, whose
+    union over rows is d random permutations of range(n); needs d <= n / 2.
 
     The d permutation layers are drawn independently.  Every repeated entry
     of a row is then switched away: for a repeat at (i, k) and a random
     partner row j, entries (i, k) and (j, k) swap when the value each row
     receives is absent from it.  A swap stays inside layer k, so each layer
     remains a permutation; it removes a repeat and never creates one.  Rows
-    are paired by a fresh random perfect matching each round, so the swaps
-    of a round touch disjoint rows and are applied together.  With
-    d <= n / 2 every repeat has at least n - 2d + 3 valid partners, so the
-    loop ends with probability one.
+    are paired by a fresh random perfect matching each round, slots 2m and
+    2m + 1 of ``rng.permutation(n)``, so the swaps of a round touch disjoint
+    rows and are applied together; a pair whose rows both have repeats
+    switches the one in the even slot.  With d <= n / 2 every repeat has at
+    least n - 2d + 3 valid partners, so the loop ends with probability one.
+
+    Repeats are found once, on the flat array of keys sorted within rows.
+    A round reaches the rows that still have repeats through the inverse of
+    its matching, not by passing over all pairs.  The sorted keys already
+    hold the sorted rows; only the rows a swap touched are sorted again.
 
     How often value v occurs in row r is read off an n x n table of counts
     at dense degree, n <= _TABLE_RATIO * d, and found by scanning the row's
@@ -158,46 +164,59 @@ def _permutation_layers(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     cols = layers.T.astype(np.int32, order="C")
     # Keys value << s | layer, sorted within rows: by value, then by layer.
     s = (d - 1).bit_length()
-    keys = cols.astype(np.int32 if n << s < 2**31 else np.int64) << s
+    keys = np.left_shift(cols, s, dtype=np.int32 if n << s < 2**31 else np.int64)
     keys |= np.arange(d, dtype=keys.dtype)
     keys.sort(axis=1)
+    keys = keys.reshape(-1)
     vals = keys >> s
-    repeat = vals[:, 1:] == vals[:, :-1]
-    rows = np.nonzero(repeat)[0]
-    # Per-row stacks of repeated layers: row i's are stack[i, :top[i]].
+    # Flat positions equal to their left neighbour, less those that start a row.
+    at = np.flatnonzero(vals[1:] == vals[:-1]) + 1
+    at = at[at % d != 0]
+    rows = at // d
+    # Row i's stack is stack[first[i]:first[i] + top[i]].
+    stack = (keys[at] & ((1 << s) - 1)).astype(np.intp)
     top = np.bincount(rows, minlength=n)
-    stack = np.zeros((n, top.max()), dtype=np.int32)
-    stack[rows, np.arange(rows.size) - (np.cumsum(top) - top)[rows]] = (
-        keys[:, 1:][repeat] & ((1 << s) - 1)
-    )
+    first = np.cumsum(top) - top
     if n <= _TABLE_RATIO * d:
         counts = np.zeros((n, n), dtype=np.min_scalar_type(d))
         counts[np.arange(n)[:, None], cols] = 1
-        np.add.at(counts, (rows, vals[:, 1:][repeat]), 1)
+        np.add.at(counts, (rows, vals[at]), 1)
         count = lambda r, v: counts[r, v]  # noqa: E731
     else:
         counts = None
         count = lambda r, v: (cols[r] == v[:, None]).sum(axis=1)  # noqa: E731
-    while top.any():
+    slots, slot = np.arange(n), np.empty(n, dtype=np.intp)
+    touched = np.zeros(n, dtype=bool)
+    live = np.flatnonzero(top)
+    while live.size:
         pairs = rng.permutation(n)
-        a, b = pairs[0 : n - 1 : 2], pairs[1::2]
-        flip = top[a] == 0
-        i, j = np.where(flip, b, a), np.where(flip, a, b)
-        keep = top[i] > 0
-        i, j = i[keep], j[keep]
-        k = stack[i, top[i] - 1]
+        slot[pairs] = slots
+        other = slot[live] ^ 1  # the partner's slot, n for odd n's last one
+        paired = other < n
+        i, other = live[paired], other[paired]
+        j = pairs[other]
+        lead = (other % 2 == 1) | (top[j] == 0)
+        i, j = i[lead], j[lead]
+        k = stack[first[i] + top[i] - 1]
         c, v = cols[i, k], cols[j, k]
         # A stacked layer whose value is no longer repeated (its twin was
         # switched away as someone's partner) is dropped unswapped.
         stale = count(i, c) < 2
         ok = ~stale & (count(i, v) == 0) & (count(j, c) == 0)
-        top[i[stale | ok]] -= 1
-        i, j, k, c, v = i[ok], j[ok], k[ok], c[ok], v[ok]
-        cols[i, k], cols[j, k] = v, c
+        top[i] -= stale | ok
+        # Entries that do not swap are written back as they were.
+        cols[i, k], cols[j, k] = np.where(ok, v, c), np.where(ok, c, v)
+        touched[i] |= ok
+        touched[j] |= ok
         if counts is not None:  # the four (row, value) pairs are distinct
+            i, j, c, v = i[ok], j[ok], c[ok], v[ok]
             counts[np.r_[i, j], np.r_[c, v]] -= 1
             counts[np.r_[i, j], np.r_[v, c]] += 1
-    return cols
+        live = live[top[live] > 0]
+    out = vals.reshape(n, d).astype(np.int64)
+    redo = np.flatnonzero(touched)
+    out[redo] = np.sort(cols[redo], axis=1)
+    return out
 
 
 def general_regular_pattern(n: int, d: int, rng_seed: int) -> AdjacencyPattern:
@@ -214,7 +233,6 @@ def general_regular_pattern(n: int, d: int, rng_seed: int) -> AdjacencyPattern:
     rng = np.random.default_rng(rng_seed)
     if 2 * d <= n:
         row_cols = _permutation_layers(n, d, rng)
-        row_cols.sort(axis=1)
     else:
         mask = np.ones((n, n), dtype=bool)
         mask[np.arange(n)[:, None], _permutation_layers(n, n - d, rng)] = False

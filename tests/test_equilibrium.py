@@ -161,6 +161,25 @@ def test_solve_matches_reference_loop(M, tol, max_iter):
     assert rep.residual_inf == residual_inf
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_matrices(), st.sampled_from([10_000, 3]))
+def test_lazy_fields_match_eager_expressions(M, max_iter):
+    try:
+        rep = solve_feasibility(M, max_iter=max_iter)
+    except DivergenceError:
+        return
+    # The expressions the solve evaluated before returning, when the
+    # report's fields were not yet computed on read.
+    x, alpha = rep.x, M.alpha
+    Z = M.weights.sum(axis=1) / math.sqrt(M.d)
+    R = alpha * alpha * (x - 1.0 - Z / alpha)
+    residual_inf = float(np.max(np.abs(x - 1.0 - M.matvec(x))))
+    assert rep.Z.tobytes() == Z.tobytes() and rep.R.tobytes() == R.tobytes()
+    assert rep.min_Z == float(Z.min()) and rep.residual_inf == residual_inf
+    assert rep.Z is rep.Z and rep.R is rep.R  # computed once
+    assert not rep.x.flags.writeable
+
+
 class TestNeumannSummand:
     def test_zero_matrix(self):
         M = zero_matrix(4)

@@ -15,7 +15,7 @@ import scipy
 import scipy.sparse as sp
 
 import sparselv
-from sparselv import ConfigError, PatternModel, SweepConfig, cli, experiments
+from sparselv import ConfigError, InteractionMatrix, PatternModel, SweepConfig, cli, experiments
 from sparselv.experiments import (
     MODELS,
     build_pattern,
@@ -228,6 +228,31 @@ class TestFeasibilitySweep:
         assert math.isnan(row["mean_min_x"])
 
 
+@pytest.mark.parametrize("run", [
+    lambda cfg: run_abundance_histogram(cfg, kappa=4.0),
+    lambda cfg: run_feasibility_sweep(replace(cfg, kappa_grid=[4.0])),
+], ids=["histogram", "sweep"])
+def test_one_product_per_iteration(monkeypatch, run):
+    # Neither trial reads residual_inf, so neither pays its extra product.
+    reports, products = [], []
+    solve, product = experiments.solve_feasibility, InteractionMatrix.unscaled_product
+
+    def recorded(M, **kwargs):
+        reports.append(solve(M, **kwargs))
+        return reports[-1]
+
+    def counted(self, v, out):
+        products.append(1)
+        return product(self, v, out)
+
+    monkeypatch.setattr(experiments, "solve_feasibility", recorded)
+    monkeypatch.setattr(InteractionMatrix, "unscaled_product", counted)
+    run(SweepConfig(n=100, d=5, model="general_regular", fix_pattern=False,
+                    trials_per_point=3, master_seed=1))
+    assert len(reports) == 3
+    assert len(products) == sum(r.solver_iterations for r in reports)
+
+
 class TestAbundanceHistogram:
     def test_moments_match_theory(self):
         cfg = SweepConfig(n=200, d=10, trials_per_point=10, master_seed=2)
@@ -253,6 +278,15 @@ class TestAbundanceHistogram:
         assert len(reports) == 4 and not any(r.converged for r in reports)
         assert result.pooled == 0 and result.diverged == 4
         assert result.counts.sum() == 0
+
+    def test_outside_counted(self):
+        # At d=1, kappa=0.2 some solved abundances fall beyond 1 +- 8/alpha:
+        # they are pooled into the moments but binned nowhere.
+        cfg = SweepConfig(n=500, d=1, trials_per_point=20, master_seed=3)
+        with pytest.warns(RuntimeWarning):
+            result = run_abundance_histogram(cfg, kappa=0.2)
+        assert (result.pooled, result.outside) == (9000, 66)
+        assert result.counts.sum() + result.outside == result.pooled
 
     def test_warns_below_threshold(self):
         cfg = SweepConfig(n=100, d=10, trials_per_point=1)

@@ -163,6 +163,13 @@ FROZEN_DIGESTS = {
     (300, 2, 4): "ba668840f93f0e22940430ee1d0e74b76cc7beeba5d5dbb8cf429d3c85a15eba",
     (300, 17, 5): "fb7aa1546953dc9d43f07fa9953c515a38a12184b8b310927b8261660de423f6",
     (3000, 33, 6): "3b6b1a89198b664d8f3885f7c7d349b8c38a24e7f58d5b2b5b7e95b8f5370c13",
+    # Recorded before the repair reached its rows through the inverse of
+    # each round's matching.  Odd n leaves one slot unpaired every round,
+    # on the scan (2001, 16) and the table (65, 32); d = n / 2 (64, 32)
+    # has the most repeats and rounds.
+    (2001, 16, 5): "4a792086c06825f4a647a9377ff80f8a06f5cf039ab5cf6a1c8af8252d234c40",
+    (65, 32, 3): "4df3631b03def5c785c188566e80370ff58ee549c7935b2a9baa8466dac0c34e",
+    (64, 32, 9): "c906445be0c01625ac167319feff29727177c3edffdaa0d85e4f248b86da444c",
 }
 
 
