@@ -54,6 +54,9 @@ class EquilibriumReport:
     Z/alpha), ``min_Z`` and ``residual_inf`` = ||x - 1 - Mx||_inf are
     computed from the read-only ``x`` and ``M`` on first read, then cached:
     a trial that reads only ``x`` pays for no row sum and no extra product.
+    They reflect ``M`` as it is when first read, so reassigning its
+    ``alpha`` or writing the array its ``weights`` view was made from
+    before then makes them disagree with ``x``.
     """
 
     x: np.ndarray
