@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import eigsh
 
 from .interaction import InteractionMatrix
 
@@ -347,9 +345,11 @@ def jacobian_spectrum(M: InteractionMatrix, x: np.ndarray) -> SpectrumReport:
     with d >= 2 is almost always one block.
 
     ``localization_error`` is max over eigenvalues of min_k |lambda + x_k|:
-    how far the spectrum strays from -diag(x).
+    how far the spectrum strays from -diag(x).  The solvers are imported
+    here, so that only spectrum runs load ``scipy.linalg`` and ``csgraph``.
     """
     from scipy.linalg import eigvals
+    from scipy.sparse.csgraph import connected_components
 
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (M.n,):
@@ -401,7 +401,9 @@ def stability_certificate(M: InteractionMatrix) -> StabilityCertificate:
     stable when the largest eigenvalue of S = M + M^T is below 2.
 
     The eigenvalue comes from ARPACK's Lanczos solver on the sparse S, run
-    to relative tolerance 1e-10 from a seeded start vector."""
+    to relative tolerance 1e-10 from a seeded start vector.  ``eigsh`` is
+    imported here, as it loads ``scipy.linalg``."""
+    from scipy.sparse.linalg import eigsh
     csr = M._unscaled_csr()
     S = M.scale * (csr + csr.T)
     if S.count_nonzero() == 0:

@@ -29,7 +29,9 @@ in it, runs on one BLAS thread whatever the worker count.  The pin is set
 in the calling process before the pool forks, and the workers inherit it.
 That holds only under the ``fork`` start method, so the pool asks for it
 explicitly rather than taking the default (``forkserver`` on Linux from
-Python 3.14).
+Python 3.14).  The pin first loads scipy's bundled OpenBLAS, which only
+``scipy.linalg`` would load otherwise, so a trial that imports
+``scipy.linalg`` after the fork finds it already pinned.
 
 ``run_trials`` returns the results with the run's sidecar record:
 ``config`` (``cfg.echo()``), ``workers``, ``blas_threads`` (per library, as
@@ -41,6 +43,8 @@ return it as their ``provenance``; the histogram adds its ``bins``.
 from __future__ import annotations
 
 import ctypes
+import functools
+import glob
 import math
 import multiprocessing
 import os
@@ -239,10 +243,22 @@ def _matrix(task: tuple[int, int]) -> InteractionMatrix:
     return assemble(_pattern(task), alpha, trial_seed(cfg.master_seed, kappa_index, trial))
 
 
+# A scipy wheel bundles its OpenBLAS here; other builds have no such directory.
+_SCIPY_LIBS = os.path.dirname(scipy.__file__) + ".libs"
+
+
+@functools.cache
+def _bundled_openblas(libs_dir: str) -> list[str]:
+    return sorted(glob.glob(os.path.join(libs_dir, "*openblas*")))
+
+
 def _openblas() -> dict[str, tuple]:
     """``{library file name: (get, set)}`` thread-count functions of every
     OpenBLAS mapped into this process, found in ``/proc/self/maps``; empty
-    where there is no such file or no OpenBLAS."""
+    where there is no such file or no OpenBLAS.  scipy's bundled OpenBLAS
+    is loaded first, so it is found before ``scipy.linalg`` loads it."""
+    for path in _bundled_openblas(_SCIPY_LIBS):
+        ctypes.CDLL(path)
     try:
         with open("/proc/self/maps") as f:
             paths = {line.split(maxsplit=5)[-1].strip() for line in f if "openblas" in line}
@@ -270,9 +286,11 @@ def blas_threads() -> dict[str, int]:
 
 @contextmanager
 def one_blas_thread():
-    """Pin every loaded OpenBLAS to one thread; yields the counts read
-    inside the pin and restores the caller's counts on exit, also when the
-    body raises.  Does nothing where no OpenBLAS is loaded."""
+    """Pin every loaded OpenBLAS to one thread, and scipy's bundled one,
+    which it loads if need be, so that a trial that imports
+    ``scipy.linalg`` after the fork finds it already pinned.  Yields the
+    counts read inside the pin and restores the caller's counts on exit,
+    also when the body raises.  Does nothing where there is no OpenBLAS."""
     libs = _openblas()
     saved = [get() for get, _ in libs.values()]
     for _, set_ in libs.values():
@@ -528,6 +546,10 @@ def run_spectrum_check(cfg: SweepConfig, kappa: float, workers: int = 1) -> Spec
     Trials run on ``workers`` processes, each eigensolve on one BLAS
     thread, so the rows are identical for every worker count.
     """
+    # Imported before the pool forks, so that the workers inherit them.
+    import scipy.linalg  # noqa: F401
+    import scipy.sparse.csgraph  # noqa: F401
+
     cfg = replace(cfg, kappa_grid=[kappa])
     results, record = run_trials(cfg, range(cfg.trials_per_point), _spectrum_trial, workers)
     rows = [r for r in results if r is not None]

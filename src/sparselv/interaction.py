@@ -29,7 +29,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvec
-from scipy.sparse.linalg import svds
 
 from .patterns import AdjacencyPattern
 
@@ -160,8 +159,10 @@ def spectral_norm(
     which is what the kappa = 22 envelope refers to; otherwise the norm of M.
     ``svds`` runs to relative tolerance ``tol`` from a fixed seeded start
     vector, so repeated calls give the same bits.  The zero matrix has norm
-    0, and at n = 1 the norm is the one weight's absolute value.
+    0, and at n = 1 the norm is the one weight's absolute value.  ``svds``
+    is imported here, as it loads ``scipy.linalg``.
     """
+    from scipy.sparse.linalg import svds
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     csr = M._unscaled_csr()

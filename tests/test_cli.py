@@ -628,19 +628,25 @@ def _modules_loaded_after(code, names):
     ).stdout.split()
 
 
+# Loaded only by spectra and norms; run_spectrum_check imports the first
+# and the last before its pool forks, so that its workers inherit them.
+SPECTRUM_MODULES = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+
+
 def test_import_loads_no_ode_or_yaml():
     """A fresh ``import sparselv`` leaves scipy.integrate, scipy.optimize
-    and yaml unloaded (only --config needs yaml), and loads
-    scipy.sparse.csgraph, so that forked spectrum workers inherit it."""
+    and yaml unloaded (only --config needs yaml), and the spectrum modules
+    too: it loads numpy and scipy.sparse only."""
     code = "import sparselv, sparselv.cli, sparselv.experiments"
-    names = ("scipy.integrate", "scipy.optimize", "yaml", "scipy.sparse.csgraph")
-    assert _modules_loaded_after(code, names) == ["scipy.sparse.csgraph"]
+    names = ("scipy.integrate", "scipy.optimize", "yaml") + SPECTRUM_MODULES
+    assert _modules_loaded_after(code, names) == []
 
 
 def test_ode_paths_load_no_integrator_library():
     """Integrating the dynamics (a dynamics trace, and the ODE route of
     saturated_equilibrium) loads none of scipy's integrate, optimize or
-    special: the Dormand-Prince stepper is the package's own."""
+    special, since the Dormand-Prince stepper is the package's own, nor
+    any spectrum module."""
     code = (
         "from sparselv import assemble, saturated_equilibrium\n"
         "from sparselv.experiments import (SweepConfig, build_pattern, pattern_seed,\n"
@@ -650,8 +656,8 @@ def test_ode_paths_load_no_integrator_library():
         "M = assemble(build_pattern(cfg, pattern_seed(0)), cfg.alpha(4.0), trial_seed(0, 0, 0))\n"
         "saturated_equilibrium(M, method='ode_limit')\n"
     )
-    names = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse.csgraph")
-    assert _modules_loaded_after(code, names) == ["scipy.sparse.csgraph"]
+    names = ("scipy.integrate", "scipy.optimize", "scipy.special") + SPECTRUM_MODULES
+    assert _modules_loaded_after(code, names) == []
 
 
 def test_only_the_cli_imports_format_modules():

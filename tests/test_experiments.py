@@ -492,18 +492,23 @@ if __name__ == "__main__":
 """
 
 
+def _script_output(tmp_path, text, *args, blas_threads):
+    """The JSON that ``text``, run as a script in a fresh interpreter with
+    ``args`` and OPENBLAS_NUM_THREADS=``blas_threads``, prints."""
+    script = tmp_path / "script.py"
+    script.write_text(text)
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": str(blas_threads)}
+    out = subprocess.run([sys.executable, str(script), *args], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout)
+
+
 def test_pool_forks_whatever_the_default_start_method(tmp_path):
     # A spawned or forkserver worker would not inherit the pin and would
     # start its OpenBLAS with OPENBLAS_NUM_THREADS threads.
-    script = tmp_path / "spawn_default.py"
-    script.write_text(SPAWN_SCRIPT)
-    src = str(Path(experiments.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "3"}
-    out = subprocess.run(
-        [sys.executable, str(script)], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert out.returncode == 0, out.stderr
-    report = json.loads(out.stdout)
+    report = _script_output(tmp_path, SPAWN_SCRIPT, blas_threads=3)
     if not report["libs"]:
         pytest.skip("no OpenBLAS loaded")
     assert report["results"] == [{name: 1 for name in report["libs"]}] * 4
@@ -532,20 +537,99 @@ print(json.dumps(experiments.run_feasibility_sweep(cfg).provenance["blas_threads
 def test_pin_covers_a_deleted_library_file(tmp_path):
     # /proc/self/maps lists an unlinked file as "<path> (deleted)", as after
     # an upgrade under a running interpreter; the pin must still load it.
-    script = tmp_path / "deleted_library.py"
-    script.write_text(DELETED_LIBRARY_SCRIPT)
-    src = str(Path(experiments.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    out = subprocess.run(
-        [sys.executable, str(script), str(tmp_path / "libopenblas_probe.so")],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert out.returncode == 0, out.stderr
-    threads = json.loads(out.stdout)
+    threads = _script_output(tmp_path, DELETED_LIBRARY_SCRIPT,
+                             str(tmp_path / "libopenblas_probe.so"), blas_threads=1)
     if threads is None:
         pytest.skip("numpy bundles no OpenBLAS")
     assert threads["libopenblas_probe.so"] == 1
     assert set(threads.values()) == {1}
+
+
+# Run as a script with "sweep" or "spectrum" as argv[1]: runs that driver on
+# two workers and prints the file names of scipy's bundled OpenBLAS, the
+# spectrum modules loaded before and after the driver, its sidecar's BLAS
+# threads, and what the pooled trials saw: after a sweep, the threads of
+# trials that import scipy.linalg after the fork; in a spectrum check, the
+# spectrum modules each worker had loaded before its trial.
+FOOTPRINT_SCRIPT = """
+import json, os, sys
+from sparselv import experiments
+
+def loaded():
+    return [m for m in ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+            if m in sys.modules]
+
+def linalg_trial(task):
+    import scipy.linalg
+    return experiments.blas_threads()
+
+spectrum_trial = experiments._spectrum_trial
+
+def probed_spectrum_trial(trial):
+    before = loaded()
+    row = spectrum_trial(trial)
+    return row and {**row, "loaded": before}
+
+if __name__ == "__main__":
+    cfg = experiments.SweepConfig(n=60, d=6, kappa_grid=[2.0, 4.0], trials_per_point=4)
+    bundled = experiments._bundled_openblas(experiments._SCIPY_LIBS)
+    report = {"bundled": [os.path.basename(p) for p in bundled], "before": loaded()}
+    if sys.argv[1] == "sweep":
+        record = experiments.run_feasibility_sweep(cfg, workers=2).provenance
+        report["after"] = loaded()
+        report["trials"], _ = experiments.run_trials(cfg, range(2), linalg_trial, workers=2)
+    else:
+        experiments._spectrum_trial = probed_spectrum_trial
+        result = experiments.run_spectrum_check(cfg, 8.0, workers=2)
+        record = result.provenance
+        report["after"] = loaded()
+        report["trials"] = [row["loaded"] for row in result.rows]
+    report["threads"] = record["blas_threads"]
+    print(json.dumps(report))
+"""
+
+
+def test_sweep_leaves_scipy_linalg_unloaded_and_pins_its_openblas(tmp_path):
+    # The pin loads scipy's OpenBLAS itself, so a trial that imports
+    # scipy.linalg after the fork finds it at one thread, not at three.
+    report = _script_output(tmp_path, FOOTPRINT_SCRIPT, "sweep", blas_threads=3)
+    if not report["bundled"]:
+        pytest.skip("scipy bundles no OpenBLAS")
+    assert report["before"] == report["after"] == []
+    assert set(report["bundled"]) <= set(report["threads"])
+    assert set(report["threads"].values()) == {1}
+    assert report["trials"] == [report["threads"]] * 2
+
+
+def test_spectrum_check_loads_its_solvers_before_the_fork(tmp_path):
+    report = _script_output(tmp_path, FOOTPRINT_SCRIPT, "spectrum", blas_threads=3)
+    solvers = {"scipy.linalg", "scipy.sparse.csgraph"}
+    assert report["before"] == []
+    assert solvers <= set(report["after"])
+    assert report["trials"] and all(solvers <= set(seen) for seen in report["trials"])
+    if not report["threads"]:
+        pytest.skip("no OpenBLAS loaded")
+    assert set(report["bundled"]) <= set(report["threads"])
+    assert set(report["threads"].values()) == {1}
+
+
+def _mapped_openblas():
+    with open("/proc/self/maps") as f:
+        return sorted({os.path.basename(line.split(maxsplit=5)[-1].strip()) for line in f
+                       if "openblas" in line})
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+@pytest.mark.parametrize("libs_dir", ["empty", "missing"])
+def test_pin_loads_nothing_where_scipy_bundles_no_openblas(libs_dir, monkeypatch, tmp_path):
+    (tmp_path / "empty").mkdir()
+    monkeypatch.setattr(experiments, "_SCIPY_LIBS", str(tmp_path / libs_dir))
+    mapped = _mapped_openblas()
+    assert sorted(experiments._openblas()) == mapped
+    cfg = SweepConfig(n=60, d=6, kappa_grid=[2.0, 4.0], trials_per_point=2)
+    record = run_feasibility_sweep(cfg, workers=2).provenance
+    assert record["blas_threads"] == {name: 1 for name in mapped}
+    assert _mapped_openblas() == mapped
 
 
 def test_sweep_and_histogram_trials_build_no_csr_matrix(monkeypatch):
