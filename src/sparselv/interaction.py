@@ -17,18 +17,29 @@ order to the buffer's 0.0, as ``csr @ v`` does after its ``np.zeros``, so
 the bits are those of ``csr @ v``.  The symbol is private to scipy; this is
 the package's one import of it, and
 ``tests/test_interaction.py::test_product_matches_csr_bytes`` fails if a
-scipy release moves or changes it.  A CSR matrix (``_unscaled_csr``) is
-built only for spectra, ``svds``, dense expansion and the singular gap.
+scipy release moves or changes it.
+
+``_load_sparsetools`` loads the kernel's extension file by path, reusing
+the module if ``scipy.sparse`` already imported it.  ``import scipy.sparse``
+would also load scipy's ``array_api_compat``, ``numpy.f2py`` and
+``numpy.testing``, about half of the package's import time and memory,
+which no trial needs.  The ``sys.modules`` entry that the extension's
+single-phase init makes is removed, so a later ``import scipy.sparse`` runs
+as in a fresh interpreter.  Dense matrices are filled from ``row_cols`` in
+numpy; only ``_unscaled_csr``, for ``svds``, ``eigsh`` and the Jacobian
+spectra, imports ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse._sparsetools import csr_matvec
+import scipy
 
 from .patterns import AdjacencyPattern
 
@@ -47,6 +58,22 @@ NORM_ENVELOPE = 22.0
 
 # Largest n for which the singular gap is computed (a dense SVD).
 DENSE_SPECTRUM_LIMIT = 512
+
+
+def _load_sparsetools():
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = FileFinder(os.path.join(os.path.dirname(scipy.__file__), "sparse"),
+                      (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+    module = spec.loader.create_module(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
+_SPARSETOOLS = _load_sparsetools()
+csr_matvec = _SPARSETOOLS.csr_matvec
 
 
 @dataclass
@@ -93,9 +120,10 @@ class InteractionMatrix:
         """Same Gaussian draw, different interaction strength; shares the weights."""
         return replace(self, alpha=alpha)
 
-    def _unscaled_csr(self) -> sp.csr_matrix:
+    def _unscaled_csr(self) -> scipy.sparse.csr_matrix:
         # CSR of mask*A (raw weights, no normalization).  Its data is a view
         # of the weights, its indices the pattern's.
+        import scipy.sparse as sp
         indptr, indices = self.pattern.csr_index
         return sp.csr_matrix((self.weights.reshape(-1), indices, indptr), shape=(self.n, self.n))
 
@@ -123,10 +151,17 @@ class InteractionMatrix:
         terms of the equilibrium decomposition."""
         return self.weights.sum(axis=1) / math.sqrt(self.d)
 
+    def _unscaled_dense(self) -> np.ndarray:
+        # Dense mask*A (raw weights): each weight added to a 0.0, in row-major
+        # position order, as csr.toarray() writes it.
+        out = np.zeros((self.n, self.n))
+        np.add.at(out, (np.arange(self.n)[:, None], self.pattern.row_cols), self.weights)
+        return out
+
     def dense(self, unscaled: bool = False) -> np.ndarray:
         """Dense expansion (intended for small n).  ``unscaled`` gives
         mask*A/sqrt(d) instead of M."""
-        out = self._unscaled_csr().toarray()
+        out = self._unscaled_dense()
         factor = 1.0 / math.sqrt(self.d) if unscaled else self.scale
         return factor * out
 
@@ -187,5 +222,5 @@ def singular_gap(M: InteractionMatrix) -> float:
         raise ValueError(f"n={M.n} exceeds dense spectrum limit {DENSE_SPECTRUM_LIMIT}")
     if M.n == 1:
         return math.inf
-    svals = np.linalg.svd(M._unscaled_csr().toarray(), compute_uv=False)
+    svals = np.linalg.svd(M._unscaled_dense(), compute_uv=False)
     return float(np.min(-np.diff(svals)))

@@ -55,6 +55,8 @@ class AdjacencyPattern:
     compiled product of ``sparselv.interaction`` and the CSR of
     ``InteractionMatrix._unscaled_csr`` both read it, so a trial on a fixed
     pattern copies no index.  It is int32 where n * d < 2^31, else int64.
+    A column outside [0, n) is refused: neither the compiled product nor
+    the dense fill checks its indices.
     """
 
     n: int
@@ -68,6 +70,8 @@ class AdjacencyPattern:
         rc = np.asarray(self.row_cols, dtype=np.int64)
         if rc.shape != (self.n, self.d):
             raise ValueError(f"row_cols shape {rc.shape} != ({self.n}, {self.d})")
+        if rc.size and (rc.min() < 0 or rc.max() >= self.n):
+            raise ValueError(f"row_cols has a column outside [0, {self.n})")
         if rc.flags.writeable:  # freeze a view, not the caller's array
             rc = rc.view()
             rc.setflags(write=False)

@@ -125,6 +125,19 @@ class TestSolve:
         meta = json.loads(open(out + ".meta.json").read())
         assert meta["config"]["n"] == 60
 
+    # SHA-256 of the JSON, recorded when the compiled product came in with
+    # the import of scipy.sparse; the same bytes on stdout and in the file.
+    FULL_STATE_DIGEST = "4a5997e087c5d0b4267c318db1ecabfb35e07a2bd446778e6533987cd6d707ef"
+
+    def test_frozen_full_state_bytes(self, tmp_path, capsys):
+        argv = self.ARGS + ["--full-state", "--format", "json"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out.encode()
+        out = tmp_path / "solve.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        for data in (stdout, out.read_bytes()):
+            assert hashlib.sha256(data).hexdigest() == self.FULL_STATE_DIGEST
+
     def test_wall_time_covers_the_solve(self, monkeypatch, tmp_path):
         # The solve runs inside run_trials, whose wall time the sidecar records.
         solve = cli.solve_feasibility
@@ -325,6 +338,29 @@ class TestSpectrum:
         assert [m["workers"] for m in metas] == [1, 2]
 
 
+    # SHA-256 of the CSV on two workers, recorded when the compiled product
+    # came in with the import of scipy.sparse.
+    DIGESTS = {
+        "block_permutation": (
+            {"n": 400, "d": 8, "trials_per_point": 3},
+            "417b18b81403455c53c81a0fb7edb619d1b014baf9805c38063e262e5126ffc2",
+        ),
+        "general_regular": (
+            {"n": 200, "d": 6, "model": "general_regular", "fix_pattern": False,
+             "trials_per_point": 3, "master_seed": 6},
+            "6127c6a2a63603a79a836c31418e683f623011b73205d1ccb56f57846e3348ab",
+        ),
+    }
+
+    @pytest.mark.parametrize("model", sorted(DIGESTS))
+    def test_frozen_output_bytes(self, model, tmp_path):
+        config, digest = self.DIGESTS[model]
+        out = tmp_path / "spectrum.csv"
+        assert main(["spectrum", "--config", write_config(tmp_path, **config), "--kappa", "8",
+                     "--threads", "2", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestGap:
     def test_stdout(self, capsys):
         assert main(["gap", "--n", "30", "--d", "4", "--trials", "5"]) == 0
@@ -353,6 +389,23 @@ class TestGap:
         assert out.read_text() == "trial,min_gap\n" + "".join(
             f"{t},{g!r}\n" for t, g in enumerate(gaps))
         assert meta["min_over_trials"] == min(gaps)
+
+    # SHA-256 of the CSV, recorded when the singular gap expanded a scipy
+    # CSR matrix with toarray().
+    DIGESTS = {
+        "general_regular":
+            ("30", "fec51aeb5506df0461f941217f2cafd7f8e7092675b985bf82797d964b57348a"),
+        "block_permutation":
+            ("32", "8f6c5c1f17656b844268c413e810b339f29ab1548eef2469e63b6613e3ab731e"),
+    }
+
+    @pytest.mark.parametrize("model", sorted(DIGESTS))
+    def test_frozen_output_bytes(self, model, tmp_path):
+        n, digest = self.DIGESTS[model]
+        out = tmp_path / "gap.csv"
+        assert main(["gap", "--n", n, "--d", "4", "--trials", "5", "--seed", "2",
+                     "--model", model, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_one_species_is_invalid(self, capsys):
         assert main(["gap", "--n", "1", "--d", "1", "--trials", "3"]) == EXIT_INVALID_CONFIG
@@ -628,15 +681,18 @@ def _modules_loaded_after(code, names):
     ).stdout.split()
 
 
-# Loaded only by spectra and norms; run_spectrum_check imports the first
-# and the last before its pool forks, so that its workers inherit them.
-SPECTRUM_MODULES = ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+# Loaded only by spectra and norms; run_spectrum_check imports scipy.linalg
+# and scipy.sparse.csgraph (which loads scipy.sparse) before its pool forks,
+# so that its workers inherit them.
+SPECTRUM_MODULES = ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg",
+                    "scipy.sparse.csgraph")
 
 
 def test_import_loads_no_ode_or_yaml():
     """A fresh ``import sparselv`` leaves scipy.integrate, scipy.optimize
     and yaml unloaded (only --config needs yaml), and the spectrum modules
-    too: it loads numpy and scipy.sparse only."""
+    too, scipy.sparse included: it loads numpy and the compiled CSR kernel
+    only."""
     code = "import sparselv, sparselv.cli, sparselv.experiments"
     names = ("scipy.integrate", "scipy.optimize", "yaml") + SPECTRUM_MODULES
     assert _modules_loaded_after(code, names) == []

@@ -15,7 +15,10 @@ import scipy
 import scipy.sparse as sp
 
 import sparselv
-from sparselv import ConfigError, InteractionMatrix, PatternModel, SweepConfig, cli, experiments
+from sparselv import (
+    ConfigError, InteractionMatrix, PatternModel, SweepConfig, cli, experiments,
+    saturated_equilibrium,
+)
 from sparselv.experiments import (
     MODELS,
     build_pattern,
@@ -556,8 +559,8 @@ import json, os, sys
 from sparselv import experiments
 
 def loaded():
-    return [m for m in ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
-            if m in sys.modules]
+    return [m for m in ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg",
+                        "scipy.sparse.csgraph") if m in sys.modules]
 
 def linalg_trial(task):
     import scipy.linalg
@@ -632,9 +635,10 @@ def test_pin_loads_nothing_where_scipy_bundles_no_openblas(libs_dir, monkeypatch
     assert _mapped_openblas() == mapped
 
 
-def test_sweep_and_histogram_trials_build_no_csr_matrix(monkeypatch):
-    # Their Neumann solves call the compiled kernel on the pattern's index
-    # arrays; a CSR matrix is built only for spectra and dense expansion.
+def test_sweep_and_histogram_trials_build_no_csr_matrix(monkeypatch, tmp_path):
+    # Neumann solves and the dynamics call the compiled kernel on the
+    # pattern's index arrays, and dense matrices are filled from row_cols; a
+    # CSR matrix is built only for spectra and norms.
     def refuse(self, *args, **kwargs):
         raise AssertionError("a trial built a csr_matrix")
 
@@ -649,6 +653,13 @@ def test_sweep_and_histogram_trials_build_no_csr_matrix(monkeypatch):
     hist, _ = run_trials(replace(cfg, fix_pattern=False), [0, 1], experiments._hist_trial,
                          edges=edges)
     assert all(r is not None for r in hist)
+    assert min(run_singular_gap_trials(n=30, d=4, trials=2, master_seed=7)) > 0.0
+    assert cli.main(["solve", "--n", "60", "--d", "6", "--kappa", "8.0",
+                     "--out", str(tmp_path / "solve.csv")]) == 0
+    assert run_dynamics_trace(replace(cfg, t_end=5.0), 4.0).record.times[-1] == 5.0
+    (M,), _ = run_trials(cfg, [(0, 0)], experiments._matrix)  # at kappa = 1
+    for method in ("pivoting", "ode_limit"):
+        assert saturated_equilibrium(M, method=method).x.min() >= 0.0
 
 
 def test_trials_on_a_fixed_pattern_share_index_arrays():

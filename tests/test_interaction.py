@@ -1,10 +1,16 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import sparselv
 from sparselv import (
     InteractionMatrix,
     assemble,
@@ -142,6 +148,56 @@ def test_product_matches_csr_bytes(case, wide_index):
     assert M.unscaled_product(v, out) is out
     assert out.tobytes() == reference.tobytes()
     assert M.matvec(v).tobytes() == (M.scale * (M._unscaled_csr() @ v)).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_cases())
+def test_dense_matches_csr_toarray_bytes(case):
+    # The dense expansion is filled from row_cols in numpy, not by a CSR; it
+    # must give the bytes of the CSR's toarray(), scaled as before.
+    M, _ = case
+    raw = M._unscaled_csr().toarray()
+    assert M._unscaled_dense().tobytes() == raw.tobytes()
+    assert M.dense().tobytes() == (M.scale * raw).tobytes()
+    assert M.dense(unscaled=True).tobytes() == (1.0 / math.sqrt(M.d) * raw).tobytes()
+
+
+# Run in a fresh interpreter with "sparselv" or "scipy.sparse" as argv[1],
+# the package imported first; prints how the compiled kernel resolved.
+IMPORT_ORDER_SCRIPT = """
+import json, sys
+import numpy as np
+if sys.argv[1] == "scipy.sparse":
+    import scipy.sparse
+from sparselv import assemble, general_regular_pattern, interaction
+report = {"sparse_after_sparselv": "scipy.sparse" in sys.modules}
+import scipy.sparse as sp
+n, d = 50, 4
+M = assemble(general_regular_pattern(n, d, rng_seed=1), alpha=2.0, seed=3)
+csr = sp.csr_matrix((M.weights.reshape(-1), M.pattern.row_cols.reshape(-1),
+                     np.arange(0, n * d + 1, d)), shape=(n, n))
+v = np.random.default_rng(0).standard_normal(n)
+report["attribute"] = sp._sparsetools is sys.modules["scipy.sparse._sparsetools"]
+report["same_module"] = interaction._SPARSETOOLS is sp._sparsetools
+report["product"] = (csr @ v).tobytes() == M.unscaled_product(v, np.empty(n)).tobytes()
+print(json.dumps(report))
+"""
+
+
+@pytest.mark.parametrize("first", ["sparselv", "scipy.sparse"])
+def test_kernel_loads_in_either_import_order(first):
+    # The package loads the kernel's extension by file, without scipy.sparse,
+    # unless scipy.sparse is already imported; then it uses scipy's module.
+    src = str(Path(sparselv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", IMPORT_ORDER_SCRIPT, first], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert report["sparse_after_sparselv"] == (first == "scipy.sparse")
+    assert report["attribute"] and report["product"]
+    if first == "scipy.sparse":
+        assert report["same_module"]
 
 
 def test_scaling_covariance():

@@ -197,3 +197,14 @@ def test_caller_row_cols_stay_writable():
     p = AdjacencyPattern(2, 1, PatternModel.BLOCK_PERMUTATION, rc)
     rc[0, 0] = 0
     assert not p.row_cols.flags.writeable and np.shares_memory(p.row_cols, rc)
+
+
+@pytest.mark.parametrize("column", [-1, 3, 1_000_000])
+def test_column_outside_the_matrix_is_refused(column):
+    # Neither the compiled product nor the dense fill checks its indices: a
+    # column of 10^6 read past the vector, and a negative one would wrap.
+    rc = np.array([[0, column], [1, 2], [0, 2]], dtype=np.int64)
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        AdjacencyPattern(3, 2, PatternModel.GENERAL_REGULAR, rc)
+    rc[0, 1] = 1
+    assert AdjacencyPattern(3, 2, PatternModel.GENERAL_REGULAR, rc).row_cols.max() == 2
