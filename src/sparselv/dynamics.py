@@ -12,7 +12,9 @@ output is folded into the trajectory's per-sample statistics 32 samples
 at a time, so a run keeps the full trace of only the species asked for.
 Jacobian spectra are computed one strongly connected component of the
 pattern at a time (for a block-permutation pattern, one cycle of sigma
-at a time).
+at a time), split by the pattern itself and solved by LAPACK's ``dgeev``
+from scipy's ``_flapack`` extension, so they load no scipy subpackage
+either.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interaction import InteractionMatrix
+from .interaction import InteractionMatrix, _load_extension
 
 __all__ = [
     "IntegrationError",
@@ -334,23 +336,22 @@ class SpectrumReport:
 def jacobian_spectrum(M: InteractionMatrix, x: np.ndarray) -> SpectrumReport:
     """Eigenvalues of diag(x)(-I + M), one strongly connected block at a time.
 
-    Ordered by the strongly connected components of M's pattern, the
-    Jacobian is block triangular, so its spectrum is the union of the
-    spectra of the diagonal blocks x_I (M_II - I).  Each block is formed
-    once, in Fortran order, scaled in place and handed to LAPACK's
-    ``dgeev`` to overwrite, so a block costs one dense copy of itself.
-    ``eigenvalues`` lists the blocks' eigenvalues block by block.  The
-    split reads the pattern, not the weights.  A block-permutation pattern
-    has one block per cycle of sigma; a random general d-regular pattern
-    with d >= 2 is almost always one block.
+    Ordered by the strongly connected components of M's pattern
+    (``AdjacencyPattern.strong_components``), the Jacobian is block
+    triangular, so its spectrum is the union of the spectra of the diagonal
+    blocks x_I (M_II - I).  Each block is filled from ``row_cols`` and the
+    weights in Fortran order, a repeated column adding its weights, scaled
+    in place and handed to LAPACK's ``dgeev`` to overwrite, so a block costs
+    one dense copy of itself.  ``eigenvalues`` lists the blocks' eigenvalues
+    block by block.  The split reads the pattern, not the weights.  A
+    block-permutation pattern has one block per cycle of sigma; a random
+    general d-regular pattern with d >= 2 is almost always one block.
 
     ``localization_error`` is max over eigenvalues of min_k |lambda + x_k|:
-    how far the spectrum strays from -diag(x).  The solvers are imported
-    here, so that only spectrum runs load ``scipy.linalg`` and ``csgraph``.
+    how far the spectrum strays from -diag(x).  ``dgeev`` comes from scipy's
+    ``_flapack`` extension, loaded on the first call, so a spectrum run
+    imports no scipy subpackage.
     """
-    from scipy.linalg import eigvals
-    from scipy.sparse.csgraph import connected_components
-
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (M.n,):
         raise ValueError(f"x has shape {x.shape}, expected ({M.n},)")
@@ -358,18 +359,22 @@ def jacobian_spectrum(M: InteractionMatrix, x: np.ndarray) -> SpectrumReport:
         raise ValueError("spectrum analysis expects a finite, strictly positive state")
     if M.n > DENSE_EIG_LIMIT:
         raise ValueError(f"n={M.n} exceeds dense eigensolver limit {DENSE_EIG_LIMIT}")
-    csr = M._unscaled_csr()
-    count, labels = connected_components(csr, directed=True, connection="strong")
+    count, labels = M.pattern.strong_components
     order = np.argsort(labels, kind="stable")
-    csr, xs = csr[order][:, order], x[order]
     bounds = np.concatenate(([0], np.cumsum(np.bincount(labels))))
+    place = np.empty(M.n, dtype=np.intp)  # each vertex's row in the ordered Jacobian
+    place[order] = np.arange(M.n)
     parts = []
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        block = csr[a:b, a:b].toarray(order="F")
+    for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+        members = order[a:b]
+        cols = M.pattern.row_cols[members]
+        inside = labels[cols] == k
+        block = np.zeros((b - a, b - a), order="F")
+        np.add.at(block, (np.nonzero(inside)[0], place[cols[inside]] - a), M.weights[members][inside])
         block *= M.scale
         block[np.diag_indices(b - a)] -= 1.0
-        block *= xs[a:b, None]
-        parts.append(eigvals(block, overwrite_a=True, check_finite=False))
+        block *= x[members, None]
+        parts.append(_eigvals(block))
     eigenvalues = np.concatenate(parts)
     return SpectrumReport(
         eigenvalues=eigenvalues,
@@ -377,6 +382,20 @@ def jacobian_spectrum(M: InteractionMatrix, x: np.ndarray) -> SpectrumReport:
         localization_error=_localization_error(eigenvalues, x),
         components=int(count),
     )
+
+
+def _eigvals(block: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Fortran-ordered float64 block, which is overwritten:
+    the ``dgeev`` call, workspace query and assembly of
+    ``scipy.linalg.eigvals(block, overwrite_a=True, check_finite=False)``."""
+    flapack = _load_extension("linalg", "_flapack")
+    work, info = flapack.dgeev_lwork(block.shape[0], compute_vl=0, compute_vr=0)
+    if info == 0:
+        wr, wi, _, _, info = flapack.dgeev(block, compute_vl=0, compute_vr=0,
+                                           lwork=int(work), overwrite_a=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dgeev failed with info={info}")
+    return wr + 1j * wi
 
 
 def _localization_error(eigenvalues: np.ndarray, x: np.ndarray) -> float:

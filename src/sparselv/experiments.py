@@ -30,8 +30,9 @@ in the calling process before the pool forks, and the workers inherit it.
 That holds only under the ``fork`` start method, so the pool asks for it
 explicitly rather than taking the default (``forkserver`` on Linux from
 Python 3.14).  The pin first loads scipy's bundled OpenBLAS, which only
-``scipy.linalg`` would load otherwise, so a trial that imports
-``scipy.linalg`` after the fork finds it already pinned.
+``scipy.linalg`` or LAPACK's ``_flapack`` extension would load otherwise,
+so a trial that loads either after the fork (a Jacobian spectrum loads
+``_flapack`` on its first call) finds it already pinned.
 
 ``run_trials`` returns the results with the run's sidecar record:
 ``config`` (``cfg.echo()``), ``workers``, ``blas_threads`` (per library, as
@@ -287,8 +288,8 @@ def blas_threads() -> dict[str, int]:
 @contextmanager
 def one_blas_thread():
     """Pin every loaded OpenBLAS to one thread, and scipy's bundled one,
-    which it loads if need be, so that a trial that imports
-    ``scipy.linalg`` after the fork finds it already pinned.  Yields the
+    which it loads if need be, so that a trial that loads ``scipy.linalg``
+    or ``_flapack`` after the fork finds it already pinned.  Yields the
     counts read inside the pin and restores the caller's counts on exit,
     also when the body raises.  Does nothing where there is no OpenBLAS."""
     libs = _openblas()
@@ -546,10 +547,6 @@ def run_spectrum_check(cfg: SweepConfig, kappa: float, workers: int = 1) -> Spec
     Trials run on ``workers`` processes, each eigensolve on one BLAS
     thread, so the rows are identical for every worker count.
     """
-    # Imported before the pool forks, so that the workers inherit them.
-    import scipy.linalg  # noqa: F401
-    import scipy.sparse.csgraph  # noqa: F401
-
     cfg = replace(cfg, kappa_grid=[kappa])
     results, record = run_trials(cfg, range(cfg.trials_per_point), _spectrum_trial, workers)
     rows = [r for r in results if r is not None]

@@ -19,19 +19,22 @@ the package's one import of it, and
 ``tests/test_interaction.py::test_product_matches_csr_bytes`` fails if a
 scipy release moves or changes it.
 
-``_load_sparsetools`` loads the kernel's extension file by path, reusing
-the module if ``scipy.sparse`` already imported it.  ``import scipy.sparse``
-would also load scipy's ``array_api_compat``, ``numpy.f2py`` and
-``numpy.testing``, about half of the package's import time and memory,
-which no trial needs.  The ``sys.modules`` entry that the extension's
-single-phase init makes is removed, so a later ``import scipy.sparse`` runs
-as in a fresh interpreter.  Dense matrices are filled from ``row_cols`` in
-numpy; only ``_unscaled_csr``, for ``svds``, ``eigsh`` and the Jacobian
-spectra, imports ``scipy.sparse``.
+``_load_extension`` loads one of scipy's compiled extensions by path,
+reusing the module if scipy already imported it.  It serves two: the
+kernel's ``scipy.sparse._sparsetools``, at import, and LAPACK's
+``scipy.linalg._flapack``, on the first Jacobian spectrum.  Importing
+their packages would also load scipy's ``array_api_compat``,
+``numpy.f2py`` and ``numpy.testing``, about half of the package's import
+time and memory, which no trial needs.  The ``sys.modules`` entry that an
+extension's single-phase init makes is removed, so a later import of its
+package runs as in a fresh interpreter.  Dense matrices are filled from
+``row_cols`` in numpy; only ``_unscaled_csr``, for the ARPACK helpers
+``spectral_norm`` and ``stability_certificate``, imports ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -60,19 +63,22 @@ NORM_ENVELOPE = 22.0
 DENSE_SPECTRUM_LIMIT = 512
 
 
-def _load_sparsetools():
-    name = "scipy.sparse._sparsetools"
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = FileFinder(os.path.join(os.path.dirname(scipy.__file__), "sparse"),
-                      (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+@functools.cache
+def _load_extension(package: str, name: str):
+    """scipy's compiled extension ``scipy.<package>.<name>``, loaded by file
+    once."""
+    full = f"scipy.{package}.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = FileFinder(os.path.join(os.path.dirname(scipy.__file__), package),
+                      (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(full)
     module = spec.loader.create_module(spec)
     spec.loader.exec_module(module)
-    sys.modules.pop(name, None)
+    sys.modules.pop(full, None)
     return module
 
 
-_SPARSETOOLS = _load_sparsetools()
+_SPARSETOOLS = _load_extension("sparse", "_sparsetools")
 csr_matvec = _SPARSETOOLS.csr_matvec
 
 
@@ -121,8 +127,8 @@ class InteractionMatrix:
         return replace(self, alpha=alpha)
 
     def _unscaled_csr(self) -> scipy.sparse.csr_matrix:
-        # CSR of mask*A (raw weights, no normalization).  Its data is a view
-        # of the weights, its indices the pattern's.
+        # CSR of mask*A (raw weights, no normalization) for the ARPACK
+        # helpers.  Its data is a view of the weights, its indices the pattern's.
         import scipy.sparse as sp
         indptr, indices = self.pattern.csr_index
         return sp.csr_matrix((self.weights.reshape(-1), indices, indptr), shape=(self.n, self.n))

@@ -87,6 +87,41 @@ class AdjacencyPattern:
             a.setflags(write=False)
         return indptr, indices
 
+    @cached_property
+    def strong_components(self) -> tuple[int, np.ndarray]:
+        """``(count, labels)`` of the strongly connected components of the
+        graph with edges i -> row_cols[i], labelled in order of their
+        smallest member.
+
+        Each round works on the vertices not yet placed.  ``low[v]`` is the
+        smallest vertex that v reaches, and ``high[v]`` the smallest that
+        reaches v through vertices of the same ``low``: v lies in the
+        component of r = low[v] iff high[v] == r, as a path from r to v
+        never leaves the vertices with ``low == r``.  Both are found by
+        min-label propagation.  A round places at least the component of
+        its smallest vertex, and on a balanced pattern (every column used
+        d times) all of them, as each edge then lies inside a component.
+        Like the CSR index, the result is built once per pattern.
+        """
+        n, d = self.n, self.d
+        cols = self.row_cols.reshape(-1)
+        rows = np.repeat(np.arange(n), d)
+        by_col = np.argsort(cols, kind="stable")
+        used = np.bincount(cols, minlength=n)
+        targets = np.flatnonzero(used)
+        root = np.full(n, n)  # each vertex's component by its smallest member; n if not placed
+        while (live := root == n).any():
+            start = np.append(np.where(live, np.arange(n), n), n)
+            low = _least_label(start, np.where(root[rows] == root[cols], cols, n),
+                               np.arange(0, n * d, d), slice(None, n))
+            inside = (low[rows] == low[cols])[by_col]
+            high = _least_label(start, np.where(inside, rows[by_col], n),
+                                (np.cumsum(used) - used)[targets], targets)
+            placed = live & (high == low)[:n]
+            root[placed] = low[:n][placed]
+        smallest, labels = np.unique(root, return_inverse=True)
+        return len(smallest), labels
+
     def dense(self) -> np.ndarray:
         """Expand to a dense 0/1 array (intended for small n)."""
         out = np.zeros((self.n, self.n), dtype=np.int64)
@@ -102,6 +137,21 @@ class AdjacencyPattern:
             and self.d == other.d
             and np.array_equal(self.row_cols, other.row_cols)
         )
+
+
+def _least_label(labels, sources, starts, owners):
+    """Fixed point of ``labels[owners] = min(labels[owners], labels[sources])``,
+    ``sources`` read in segments that begin at ``starts``, one per owner.
+    ``labels[-1]`` is a sentinel that an unused source points at.  Each label
+    is a vertex with a label no larger, so jumping to the label's label
+    keeps the fixed point and shortens each chain it follows."""
+    while True:
+        new = labels.copy()
+        new[owners] = np.minimum(labels[owners], np.minimum.reduceat(labels[sources], starts))
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
 
 
 def block_permutation_pattern(m: int, d: int, sigma) -> AdjacencyPattern:

@@ -1,8 +1,16 @@
 """Shared builders for small hand-crafted interaction matrices."""
 
 import numpy as np
+from hypothesis import strategies as st
 
-from sparselv import InteractionMatrix, block_permutation_pattern, full_pattern
+from sparselv import (
+    AdjacencyPattern,
+    InteractionMatrix,
+    PatternModel,
+    block_permutation_pattern,
+    full_pattern,
+    general_regular_pattern,
+)
 
 
 def forced(pattern, weights, alpha=1.0):
@@ -43,3 +51,28 @@ def zero_matrix(n, alpha=1.0):
 def ones_full(n, alpha=1.0):
     """Full pattern with every weight forced to one."""
     return forced(full_pattern(n), np.ones((n, n)), alpha)
+
+
+@st.composite
+def split_cases(draw, max_n=60):
+    """``(pattern, balanced)``: a block pattern (identity sigma and m = 1
+    included), a general d-regular one (d = 1 and the complement branch
+    d > n / 2 included), or a hand-built unbalanced one, whose random rows
+    may repeat a column and, kept on or above the diagonal, split it into
+    many components."""
+    kind = draw(st.sampled_from(["block", "general", "unbalanced"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "block":
+        m, d = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+        sigma = np.arange(m) if draw(st.booleans()) else rng.permutation(m)
+        return block_permutation_pattern(m, d, sigma), True
+    n = draw(st.integers(1, max_n))
+    if kind == "general":
+        d = draw(st.one_of(st.just(1), st.integers(n // 2 + 1, n), st.integers(1, n)))
+        return general_regular_pattern(n, d, rng_seed=int(rng.integers(2**32))), True
+    row_cols = rng.integers(0, n, (n, draw(st.integers(1, 4))))
+    if draw(st.booleans()):
+        row_cols = np.maximum(row_cols, np.arange(n)[:, None])
+    pattern = AdjacencyPattern(n, row_cols.shape[1], PatternModel.GENERAL_REGULAR,
+                               np.sort(row_cols, axis=1))
+    return pattern, False

@@ -681,9 +681,10 @@ def _modules_loaded_after(code, names):
     ).stdout.split()
 
 
-# Loaded only by spectra and norms; run_spectrum_check imports scipy.linalg
-# and scipy.sparse.csgraph (which loads scipy.sparse) before its pool forks,
-# so that its workers inherit them.
+# Loaded only by the ARPACK helpers, spectral_norm and stability_certificate
+# (scipy.sparse and scipy.sparse.linalg, which loads scipy.linalg). No
+# subcommand loads any of them: a Jacobian spectrum splits the pattern in
+# numpy and loads only LAPACK's _flapack extension, by file.
 SPECTRUM_MODULES = ("scipy.sparse", "scipy.linalg", "scipy.sparse.linalg",
                     "scipy.sparse.csgraph")
 
@@ -714,6 +715,27 @@ def test_ode_paths_load_no_integrator_library():
     )
     names = ("scipy.integrate", "scipy.optimize", "scipy.special") + SPECTRUM_MODULES
     assert _modules_loaded_after(code, names) == []
+
+
+def test_spectrum_run_loads_no_spectrum_module(tmp_path):
+    """A ``sparselv spectrum`` run, on two workers, loads none of the
+    spectrum modules, in the caller or (the check runs on each worker's
+    module list too) in its trials."""
+    config, out = write_config(tmp_path, n=120, d=6, trials_per_point=2), tmp_path / "spectrum.csv"
+    code = f"""
+import sys
+from sparselv import cli, experiments
+trial = experiments._spectrum_trial
+def probed(t):
+    row = trial(t)
+    assert not [m for m in {SPECTRUM_MODULES!r} if m in sys.modules], "a trial loaded one"
+    return row
+experiments._spectrum_trial = probed
+assert cli.main(["spectrum", "--config", {config!r}, "--kappa", "8", "--threads", "2",
+                 "--out", {str(out)!r}]) == 0
+"""
+    assert _modules_loaded_after(code, SPECTRUM_MODULES) == []
+    assert len(out.read_text().splitlines()) == 3
 
 
 def test_only_the_cli_imports_format_modules():

@@ -1,12 +1,19 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
+import sparselv
 from sparselv import dynamics
 from sparselv.experiments import SweepConfig, build_pattern, pattern_seed, trial_seed
 from sparselv import (
@@ -24,7 +31,8 @@ from sparselv import (
     solve_feasibility,
     stability_certificate,
 )
-from _helpers import forced, off_diagonal_2x2, ones_full, upper_2x2, zero_matrix
+from _helpers import (forced, off_diagonal_2x2, ones_full, split_cases, upper_2x2,
+                      zero_matrix)
 
 
 class TestLvField:
@@ -330,10 +338,132 @@ class TestJacobianSplit:
         rep = self.check(_block_triangular(), np.linspace(0.5, 1.5, 6))
         assert rep.components == 2
 
+    def test_pattern_with_a_repeated_column(self):
+        # Row 16 holds column 7 twice. csgraph's strong connected_components
+        # reads the CSR of this pattern as 15 components, and blocks split
+        # by those labels have spectra 0.43 away from the Jacobian's.
+        row_cols = [[14, 18], [0, 2], [15, 18], [4, 5], [8, 16], [5, 15], [4, 7], [10, 12],
+                    [0, 1], [14, 16], [10, 15], [6, 15], [8, 14], [2, 5], [2, 8], [2, 18],
+                    [7, 7], [3, 17], [4, 9]]
+        pattern = AdjacencyPattern(19, 2, PatternModel.GENERAL_REGULAR, np.array(row_cols))
+        M = forced(pattern, np.random.default_rng(1).standard_normal((19, 2)), alpha=2.0)
+        rep = self.check(M, np.random.default_rng(2).uniform(0.5, 2.0, 19))
+        assert rep.components == _scc_count(pattern) == 7
+
     def test_identity_sigma_one_block_per_row_block(self):
         M = assemble(block_permutation_pattern(5, 3, np.arange(5)), alpha=2.0, seed=1)
         rep = self.check(M, np.ones(15))
         assert rep.components == 5 and len(rep.eigenvalues) == 15
+
+
+def _solved_blocks(M, x):
+    """``jacobian_spectrum(M, x)`` and a copy of each block it handed to
+    ``dgeev``, taken before ``dgeev`` overwrote it."""
+    blocks, solve = [], dynamics._eigvals
+
+    def capture(block):
+        blocks.append(block.copy(order="F"))
+        return solve(block)
+
+    with mock.patch.object(dynamics, "_eigvals", capture):
+        return jacobian_spectrum(M, x), blocks
+
+
+class TestJacobianBlocks:
+    """The blocks are filled from the pattern and solved by scipy's private
+    ``_flapack.dgeev``, so both are checked bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(split_cases(), st.integers(0, 2**32 - 1))
+    def test_blocks_are_the_dense_jacobians(self, case, seed):
+        # Block k is the dense Jacobian's on component k's members, in
+        # ascending order; a repeated column adds its weights, as dense() does.
+        pattern, _ = case
+        M = assemble(pattern, alpha=2.0, seed=seed)
+        x = np.random.default_rng(seed).uniform(0.5, 2.0, M.n)
+        rep, blocks = _solved_blocks(M, x)
+        count, labels = pattern.strong_components
+        assert rep.components == count == len(blocks)
+        J = x[:, None] * (M.dense() - np.eye(M.n))
+        for k, block in enumerate(blocks):
+            members = np.flatnonzero(labels == k)
+            assert block.flags.f_contiguous
+            assert block.tobytes() == J[np.ix_(members, members)].tobytes()
+
+    def test_repeated_column_adds_its_weights(self):
+        # Row 0 holds column 1 twice: one position of weight 0.5 + 0.25.
+        pattern = AdjacencyPattern(3, 2, PatternModel.GENERAL_REGULAR,
+                                   np.array([[1, 1], [0, 2], [0, 2]]))
+        M = forced(pattern, [[0.5, 0.25], [1.0, -1.0], [2.0, 0.5]])
+        x = np.array([1.0, 2.0, 0.5])
+        rep, (block,) = _solved_blocks(M, x)
+        assert rep.components == 1 and block[0, 1] == 0.75 * M.scale
+        assert block.tobytes() == (x[:, None] * (M.dense() - np.eye(3))).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(split_cases(max_n=300), st.integers(0, 2**32 - 1))
+    def test_eigenvalues_match_scipy_eigvals_bytes(self, case, seed):
+        # dgeev comes from scipy's private _flapack extension, called as
+        # scipy.linalg.eigvals calls it; a scipy release that moves it or
+        # changes the call fails here.
+        M = assemble(case[0], alpha=2.0, seed=seed)
+        rep, blocks = _solved_blocks(M, np.random.default_rng(seed).uniform(0.5, 2.0, M.n))
+        start = 0
+        for block in blocks:
+            ref = scipy.linalg.eigvals(block, overwrite_a=True, check_finite=False)
+            assert rep.eigenvalues[start:start + len(ref)].tobytes() == ref.tobytes()
+            start += len(ref)
+        assert start == M.n
+
+
+# Run in a fresh interpreter with "sparselv" or "scipy.linalg" as argv[1],
+# imported first; prints how LAPACK's extension resolved, and whether its
+# file was mapped after the imports (null without /proc/self/maps).
+FLAPACK_ORDER_SCRIPT = """
+import json, os, sys
+import numpy as np
+if sys.argv[1] == "scipy.linalg":
+    import scipy.linalg
+from sparselv import assemble, full_pattern, interaction, jacobian_spectrum
+mapped = None
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as f:
+        mapped = any("_flapack" in line for line in f)
+n = 40
+M = assemble(full_pattern(n), alpha=3.0, seed=2)
+x = np.random.default_rng(0).uniform(0.5, 2.0, n)
+eigenvalues = jacobian_spectrum(M, x).eigenvalues
+report = {"mapped_at_import": mapped, "linalg_after_spectrum": "scipy.linalg" in sys.modules}
+import scipy.linalg
+block = np.asfortranarray(x[:, None] * (M.dense() - np.eye(n)))
+report["attribute"] = scipy.linalg._flapack is sys.modules["scipy.linalg._flapack"]
+report["same_module"] = interaction._load_extension("linalg", "_flapack") is scipy.linalg._flapack
+report["eigvals"] = (scipy.linalg.eigvals(block, overwrite_a=True, check_finite=False).tobytes()
+                     == eigenvalues.tobytes())
+print(json.dumps(report))
+"""
+
+
+def _run_fresh(script, *args):
+    src = str(Path(sparselv.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script, *args], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+@pytest.mark.parametrize("first", ["sparselv", "scipy.linalg"])
+def test_flapack_loads_in_either_import_order(first):
+    # The first spectrum, not the import, loads the extension by file,
+    # without scipy.linalg, unless scipy.linalg is already imported; then
+    # it uses scipy's module.  A later import of scipy.linalg works and
+    # solves with the same bits.
+    report = json.loads(_run_fresh(FLAPACK_ORDER_SCRIPT, first))
+    assert report["mapped_at_import"] in (None, first == "scipy.linalg")
+    assert report["linalg_after_spectrum"] == (first == "scipy.linalg")
+    assert report["attribute"] and report["eigvals"]
+    if first == "scipy.linalg":
+        assert report["same_module"]
 
 
 def _traced_peak(fn, *args, **kwargs):
@@ -347,18 +477,56 @@ def _traced_peak(fn, *args, **kwargs):
         tracemalloc.stop()
 
 
+# Prints the component count of a one-block spectrum at n = 1200 and how
+# far it raised the process's peak RSS, in blocks of n * n doubles.  The
+# peak is VmHWM, not ru_maxrss: ru_maxrss keeps the peak of the process
+# that forked the interpreter (a test run's, hundreds of MiB) across exec.
+SPECTRUM_RSS_SCRIPT = """
+import numpy as np
+from sparselv import assemble, general_regular_pattern, jacobian_spectrum
+
+def peak():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) * 1024
+
+# A smaller spectrum first loads _flapack and touches OpenBLAS's buffers.
+warm = assemble(general_regular_pattern(400, 4, rng_seed=2), alpha=3.0, seed=2)
+jacobian_spectrum(warm, np.ones(400))
+n = 1200
+M = assemble(general_regular_pattern(n, 4, rng_seed=1), alpha=3.0, seed=1)
+x = np.random.default_rng(0).uniform(0.5, 2.0, n)
+M.pattern.strong_components
+before = peak()
+report = jacobian_spectrum(M, x)
+print(report.components, (peak() - before) / (n * n * 8))
+"""
+
+
 class TestFootprint:
     """The stability path holds one full-size array: the Jacobian block, or
     the sampled states.  Chunking the dense output and the distance series
     over rows keeps every other temporary small, and changes no bit."""
 
     def test_spectrum_holds_one_block(self):
+        """tracemalloc sees numpy's array buffers only: not the workspace
+        or copies that numpy or LAPACK allocate inside a call, such as the
+        copy np.linalg.eigvals makes.  test_spectrum_peak_rss_grows_by_one_block
+        sees those."""
         n = 600
         M = assemble(general_regular_pattern(n, 4, rng_seed=1), alpha=3.0, seed=1)
         x = np.random.default_rng(0).uniform(0.5, 2.0, n)
         rep, peak = _traced_peak(jacobian_spectrum, M, x)
         assert rep.components == 1
         assert peak < 1.5 * n * n * 8
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="no /proc/self/status")
+    def test_spectrum_peak_rss_grows_by_one_block(self):
+        # Peak RSS of a fresh process, which counts LAPACK's buffers too.
+        # dgeev overwrites the block in place; a solver that copied it
+        # (np.linalg.eigvals does) would grow the peak by about two blocks.
+        components, growth = _run_fresh(SPECTRUM_RSS_SCRIPT).split()
+        assert components == "1"
+        assert float(growth) < 1.5
 
     def test_trajectory_holds_one_states_array(self):
         n = 20_000

@@ -553,7 +553,7 @@ def test_pin_covers_a_deleted_library_file(tmp_path):
 # spectrum modules loaded before and after the driver, its sidecar's BLAS
 # threads, and what the pooled trials saw: after a sweep, the threads of
 # trials that import scipy.linalg after the fork; in a spectrum check, the
-# spectrum modules each worker had loaded before its trial.
+# spectrum modules each worker had loaded after its trial, and its threads.
 FOOTPRINT_SCRIPT = """
 import json, os, sys
 from sparselv import experiments
@@ -569,9 +569,8 @@ def linalg_trial(task):
 spectrum_trial = experiments._spectrum_trial
 
 def probed_spectrum_trial(trial):
-    before = loaded()
     row = spectrum_trial(trial)
-    return row and {**row, "loaded": before}
+    return row and {**row, "loaded": loaded(), "threads": experiments.blas_threads()}
 
 if __name__ == "__main__":
     cfg = experiments.SweepConfig(n=60, d=6, kappa_grid=[2.0, 4.0], trials_per_point=4)
@@ -586,7 +585,7 @@ if __name__ == "__main__":
         result = experiments.run_spectrum_check(cfg, 8.0, workers=2)
         record = result.provenance
         report["after"] = loaded()
-        report["trials"] = [row["loaded"] for row in result.rows]
+        report["trials"] = [{k: row[k] for k in ("loaded", "threads")} for row in result.rows]
     report["threads"] = record["blas_threads"]
     print(json.dumps(report))
 """
@@ -604,16 +603,18 @@ def test_sweep_leaves_scipy_linalg_unloaded_and_pins_its_openblas(tmp_path):
     assert report["trials"] == [report["threads"]] * 2
 
 
-def test_spectrum_check_loads_its_solvers_before_the_fork(tmp_path):
+def test_spectrum_check_loads_no_spectrum_module(tmp_path):
+    # The split is the pattern's own and dgeev comes from the _flapack
+    # extension, loaded by file in each worker; the pin has already loaded
+    # the OpenBLAS that _flapack links, so the solve runs on one thread.
     report = _script_output(tmp_path, FOOTPRINT_SCRIPT, "spectrum", blas_threads=3)
-    solvers = {"scipy.linalg", "scipy.sparse.csgraph"}
-    assert report["before"] == []
-    assert solvers <= set(report["after"])
-    assert report["trials"] and all(solvers <= set(seen) for seen in report["trials"])
+    assert report["before"] == report["after"] == []
+    assert report["trials"] and all(seen["loaded"] == [] for seen in report["trials"])
     if not report["threads"]:
         pytest.skip("no OpenBLAS loaded")
     assert set(report["bundled"]) <= set(report["threads"])
     assert set(report["threads"].values()) == {1}
+    assert all(seen["threads"] == report["threads"] for seen in report["trials"])
 
 
 def _mapped_openblas():

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from sparselv import (
     AdjacencyPattern,
@@ -13,6 +14,7 @@ from sparselv import (
 )
 from sparselv import patterns
 from sparselv.cli import _pattern_text
+from _helpers import split_cases
 
 
 def is_circulant(row_cols):
@@ -208,3 +210,23 @@ def test_column_outside_the_matrix_is_refused(column):
         AdjacencyPattern(3, 2, PatternModel.GENERAL_REGULAR, rc)
     rc[0, 1] = 1
     assert AdjacencyPattern(3, 2, PatternModel.GENERAL_REGULAR, rc).row_cols.max() == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(split_cases())
+def test_strong_components_agree_with_csgraph(case):
+    # csgraph runs on the dense 0/1 mask: on a CSR that repeats a column it
+    # miscounts the components.
+    pattern, balanced = case
+    count, labels = pattern.strong_components
+    ref_count, ref_labels = connected_components(pattern.dense(), directed=True,
+                                                 connection="strong")
+    assert count == ref_count
+    assert len(set(zip(labels.tolist(), ref_labels.tolist()))) == count
+    # Labelled 0, 1, ... in order of their smallest member.
+    smallest = np.unique(labels, return_index=True)[1]
+    assert len(smallest) == labels.max() + 1 == count
+    assert (np.diff(smallest) > 0).all()
+    if balanced:
+        np.testing.assert_array_equal(labels, ref_labels)
+    assert pattern.strong_components is pattern.strong_components
