@@ -8,20 +8,23 @@ envelope refers to.
 
 Every sparse product of the package goes through one method,
 ``InteractionMatrix.unscaled_product``: the Neumann solve, ``matvec`` (and so
-the dynamics' vector field) and ``neumann_summand``.  It calls
-``scipy.sparse._sparsetools.csr_matvec``, the compiled kernel behind
-scipy's ``csr @ v``, on the pattern's shared index arrays and the raw
-weights, into a buffer the caller owns, without scipy's Python dispatch or
-a fresh output array per call.  The kernel adds each row's terms in column
-order to the buffer's 0.0, as ``csr @ v`` does after its ``np.zeros``, so
-the bits are those of ``csr @ v``.  The symbol is private to scipy; this is
-the package's one import of it, and
+the dynamics' vector field), ``residual_inf`` and ``neumann_summand``.  It
+calls a compiled kernel of ``scipy.sparse._sparsetools`` on the pattern's
+shared index arrays and the raw weights, into a buffer the caller owns,
+without scipy's Python dispatch or a fresh output array per call: on a
+pattern of aligned d x d blocks (``AdjacencyPattern.bsr_index``, such as
+the block-permutation and full patterns) ``bsr_matvec``, the kernel behind
+``bsr @ v``, which reads one column index per block; on any other pattern
+``csr_matvec``, the kernel behind ``csr @ v``.  Each adds a row's terms in
+column order to the buffer's 0.0, as ``csr @ v`` does after its
+``np.zeros``, so the bits are those of ``csr @ v`` either way.  The symbols
+are private to scipy; this is the package's one import of them, and
 ``tests/test_interaction.py::test_product_matches_csr_bytes`` fails if a
-scipy release moves or changes it.
+scipy release moves or changes either.
 
 ``_load_extension`` loads one of scipy's compiled extensions by path,
 reusing the module if scipy already imported it.  It serves two: the
-kernel's ``scipy.sparse._sparsetools``, at import, and LAPACK's
+kernels' ``scipy.sparse._sparsetools``, at import, and LAPACK's
 ``scipy.linalg._flapack``, on the first Jacobian spectrum.  Importing
 their packages would also load scipy's ``array_api_compat``,
 ``numpy.f2py`` and ``numpy.testing``, about half of the package's import
@@ -80,6 +83,7 @@ def _load_extension(package: str, name: str):
 
 _SPARSETOOLS = _load_extension("sparse", "_sparsetools")
 csr_matvec = _SPARSETOOLS.csr_matvec
+bsr_matvec = _SPARSETOOLS.bsr_matvec
 
 
 @dataclass
@@ -136,11 +140,16 @@ class InteractionMatrix:
     def unscaled_product(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = (mask*A) @ v`` with the raw weights, bit for bit as
         ``self._unscaled_csr() @ v``; returns ``out``.  ``v`` and ``out``
-        are float64 vectors of length n that do not overlap.  Nothing is
-        checked: this is the inner loop of every solve."""
-        indptr, indices = self.pattern.csr_index
+        are float64 vectors of length n that do not overlap.  Calls
+        ``bsr_matvec`` when the pattern has a ``bsr_index``, whose d x d
+        blocks are the weights' rows in order, else ``csr_matvec``.
+        Nothing is checked: this is the inner loop of every solve."""
         out.fill(0.0)
-        csr_matvec(self.n, self.n, indptr, indices, self.weights.reshape(-1), v, out)
+        if (blocks := self.pattern.bsr_index) is not None:
+            m = self.n // self.d
+            bsr_matvec(m, m, self.d, self.d, *blocks, self.weights.reshape(-1), v, out)
+        else:
+            csr_matvec(self.n, self.n, *self.pattern.csr_index, self.weights.reshape(-1), v, out)
         return out
 
     def matvec(self, v: np.ndarray) -> np.ndarray:

@@ -55,8 +55,11 @@ class AdjacencyPattern:
     compiled product of ``sparselv.interaction`` and the CSR of
     ``InteractionMatrix._unscaled_csr`` both read it, so a trial on a fixed
     pattern copies no index.  It is int32 where n * d < 2^31, else int64.
-    A column outside [0, n) is refused: neither the compiled product nor
-    the dense fill checks its indices.
+    ``bsr_index``, for the compiled BSR product, is the mask as aligned
+    d x d blocks (block row pointers and block columns); it is ``None``
+    unless d >= 2, d divides n and every row of block row k holds exactly
+    c_k * d + 0..d-1.  A column outside [0, n) is refused: neither
+    compiled product nor the dense fill checks its indices.
     """
 
     n: int
@@ -88,6 +91,26 @@ class AdjacencyPattern:
         return indptr, indices
 
     @cached_property
+    def bsr_index(self) -> tuple[np.ndarray, np.ndarray] | None:
+        # From row_cols, not the model: a full pattern is one block.  It
+        # first runs inside a trial, so it exits after one modulo on a
+        # general pattern.  The kernel computes each block's offset d^2 * jj
+        # in the index type, hence int32 only while n * d < 2^31.
+        n, d = self.n, self.d
+        if d < 2 or n % d:
+            return None
+        blocks = self.row_cols.reshape(n // d, d, d)
+        starts = blocks[:, 0, 0]
+        if (starts % d).any() or not (blocks == starts[:, None, None] + np.arange(d)).all():
+            return None
+        index = np.int32 if n * d < 2**31 else np.int64
+        indptr = np.arange(n // d + 1, dtype=index)
+        indices = (starts // d).astype(index)
+        for a in (indptr, indices):
+            a.setflags(write=False)
+        return indptr, indices
+
+    @cached_property
     def strong_components(self) -> tuple[int, np.ndarray]:
         """``(count, labels)`` of the strongly connected components of the
         graph with edges i -> row_cols[i], labelled in order of their
@@ -106,17 +129,11 @@ class AdjacencyPattern:
         n, d = self.n, self.d
         cols = self.row_cols.reshape(-1)
         rows = np.repeat(np.arange(n), d)
-        by_col = np.argsort(cols, kind="stable")
-        used = np.bincount(cols, minlength=n)
-        targets = np.flatnonzero(used)
         root = np.full(n, n)  # each vertex's component by its smallest member; n if not placed
         while (live := root == n).any():
             start = np.append(np.where(live, np.arange(n), n), n)
-            low = _least_label(start, np.where(root[rows] == root[cols], cols, n),
-                               np.arange(0, n * d, d), slice(None, n))
-            inside = (low[rows] == low[cols])[by_col]
-            high = _least_label(start, np.where(inside, rows[by_col], n),
-                                (np.cumsum(used) - used)[targets], targets)
+            low = _least_label(start, rows, np.where(root[rows] == root[cols], cols, n))
+            high = _least_label(start, cols, np.where(low[rows] == low[cols], rows, n))
             placed = live & (high == low)[:n]
             root[placed] = low[:n][placed]
         smallest, labels = np.unique(root, return_inverse=True)
@@ -139,15 +156,15 @@ class AdjacencyPattern:
         )
 
 
-def _least_label(labels, sources, starts, owners):
-    """Fixed point of ``labels[owners] = min(labels[owners], labels[sources])``,
-    ``sources`` read in segments that begin at ``starts``, one per owner.
-    ``labels[-1]`` is a sentinel that an unused source points at.  Each label
-    is a vertex with a label no larger, so jumping to the label's label
-    keeps the fixed point and shortens each chain it follows."""
+def _least_label(labels, owners, sources):
+    """Fixed point of ``labels[o] = min(labels[o], labels[s])`` over the
+    edges ``(o, s)`` of ``zip(owners, sources)``.  ``labels[-1]`` is a
+    sentinel that an unused edge's source points at.  Each label is a vertex
+    with a label no larger, so jumping to the label's label keeps the fixed
+    point and shortens each chain it follows."""
     while True:
         new = labels.copy()
-        new[owners] = np.minimum(labels[owners], np.minimum.reduceat(labels[sources], starts))
+        np.minimum.at(new, owners, labels[sources])
         new = new[new]
         if np.array_equal(new, labels):
             return labels

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +14,18 @@ from hypothesis import given, settings, strategies as st
 import sparselv
 from sparselv import (
     InteractionMatrix,
+    SweepConfig,
     assemble,
     block_permutation_pattern,
     full_pattern,
     general_regular_pattern,
+    run_abundance_histogram,
+    run_feasibility_sweep,
+    run_spectrum_check,
     singular_gap,
     spectral_norm,
 )
+from sparselv import interaction
 from sparselv.interaction import DENSE_SPECTRUM_LIMIT
 from _helpers import forced, ones_full, zero_matrix
 
@@ -134,16 +140,19 @@ def product_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(product_cases(), st.booleans())
 def test_product_matches_csr_bytes(case, wide_index):
-    # The shared product calls scipy's private compiled CSR kernel directly;
-    # it must give the bytes of csr @ v, from a CSR built here from row_cols.
+    # The shared product calls scipy's private compiled kernels directly,
+    # bsr_matvec on block patterns and csr_matvec on the others; it must give
+    # the bytes of csr @ v, from a CSR built here from row_cols.
     M, v = case
     n, d = M.n, M.d
     reference = sp.csr_matrix(
         (M.weights.reshape(-1), M.pattern.row_cols.reshape(-1), np.arange(0, n * d + 1, d)),
         shape=(n, n),
     ) @ v
-    if wide_index:  # the int64 index path of n * d >= 2^31, forced on a small pattern
-        vars(M.pattern)["csr_index"] = tuple(a.astype(np.int64) for a in M.pattern.csr_index)
+    if wide_index:  # the int64 index paths of n * d >= 2^31, forced on a small pattern
+        for name in ("csr_index", "bsr_index"):
+            if (index := getattr(M.pattern, name)) is not None:
+                vars(M.pattern)[name] = tuple(a.astype(np.int64) for a in index)
     out = np.full(n, np.nan)
     assert M.unscaled_product(v, out) is out
     assert out.tobytes() == reference.tobytes()
@@ -160,6 +169,27 @@ def test_dense_matches_csr_toarray_bytes(case):
     assert M._unscaled_dense().tobytes() == raw.tobytes()
     assert M.dense().tobytes() == (M.scale * raw).tobytes()
     assert M.dense(unscaled=True).tobytes() == (1.0 / math.sqrt(M.d) * raw).tobytes()
+
+
+def test_block_patterns_take_the_bsr_kernel(monkeypatch):
+    # Products on aligned d x d blocks call bsr_matvec, all others csr_matvec.
+    calls = dict.fromkeys(["csr_matvec", "bsr_matvec"], 0)
+    for name in calls:
+        def counted(*args, name=name, kernel=getattr(interaction, name)):
+            calls[name] += 1
+            return kernel(*args)
+        monkeypatch.setattr(interaction, name, counted)
+
+    def kernels(run):
+        calls.update(dict.fromkeys(calls, 0))
+        run()
+        return {name for name, count in calls.items() if count}
+
+    block = SweepConfig(n=120, d=8, kappa_grid=[4.0, 8.0], trials_per_point=2, master_seed=3)
+    assert kernels(lambda: run_feasibility_sweep(block)) == {"bsr_matvec"}
+    assert kernels(lambda: run_spectrum_check(block, 8.0)) == {"bsr_matvec"}
+    general = replace(block, model="general_regular", fix_pattern=False)
+    assert kernels(lambda: run_abundance_histogram(general, kappa=4.0)) == {"csr_matvec"}
 
 
 # Run in a fresh interpreter with "sparselv" or "scipy.sparse" as argv[1],

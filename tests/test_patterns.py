@@ -212,6 +212,26 @@ def test_column_outside_the_matrix_is_refused(column):
     assert AdjacencyPattern(3, 2, PatternModel.GENERAL_REGULAR, rc).row_cols.max() == 2
 
 
+def test_bsr_index_only_for_aligned_blocks():
+    # The BSR kernel checks no shapes: an index on anything but aligned
+    # d x d blocks would make it read past its arrays.
+    block = block_permutation_pattern(3, 4, [1, 2, 0])
+    indptr, indices = block.bsr_index
+    assert indptr.tolist() == [0, 1, 2, 3] and indices.tolist() == [1, 2, 0]
+    assert indptr.dtype == indices.dtype == np.int32
+    assert not indptr.flags.writeable and not indices.flags.writeable
+    assert block.bsr_index is block.bsr_index
+    assert patterns.full_pattern(5).bsr_index[1].tolist() == [0]
+    shifted = block.row_cols.copy()
+    shifted[1] += 1  # row 1 holds columns 5..8; row 0, which opens the block row, 4..7
+    unaligned = np.tile(np.arange(2, 6), (12, 1))  # one run of 4, starting at column 2
+    for p in [block_permutation_pattern(4, 1, [1, 0, 3, 2]),
+              AdjacencyPattern(12, 4, PatternModel.BLOCK_PERMUTATION, shifted),
+              AdjacencyPattern(12, 4, PatternModel.BLOCK_PERMUTATION, unaligned),
+              general_regular_pattern(60, 6, rng_seed=1)]:
+        assert p.bsr_index is None
+
+
 @settings(max_examples=200, deadline=None)
 @given(split_cases())
 def test_strong_components_agree_with_csgraph(case):
