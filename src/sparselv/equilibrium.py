@@ -4,9 +4,10 @@ The linear equilibrium x = 1 + Mx is solved by Neumann fixed-point
 iteration (geometric convergence exactly when the spectral radius of M
 is below 1) and decomposed as x = 1 + Z/alpha + R/alpha^2, where Z
 collects the first-order Gaussian terms (i.i.d. N(0,1) by construction)
-and R the higher Neumann orders.  Each iteration is one call of
-``InteractionMatrix.unscaled_product`` (see ``sparselv.interaction``) into
-one of three buffers allocated per solve: the loop allocates nothing.
+and R the higher Neumann orders.  The solve binds the compiled product
+once (``InteractionMatrix.bound_kernel``, see ``sparselv.interaction``),
+and each iteration calls it into one of three buffers allocated per
+solve: the loop allocates nothing and reads no property of the matrix.
 The nonnegative saturated equilibrium of the complementarity system is
 found either by support pivoting or as the long-time ODE limit.
 """
@@ -125,7 +126,8 @@ def solve_feasibility(
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    scale = M.scale
+    kernel, scale = M.bound_kernel(), M.scale
+    subtract, absolute, largest = np.subtract, np.abs, np.maximum.reduce
     # x is the iterate, y takes the next one, and step their difference;
     # x and y swap each iteration.
     x, y, step = np.ones(M.n), np.empty(M.n), np.empty(M.n)
@@ -134,11 +136,12 @@ def solve_feasibility(
     converged = False
     for iterations in range(1, max_iter + 1):
         # y = 1 + Mx with the operations of 1 + M.matvec(x), so the same bits.
-        M.unscaled_product(x, y)
+        y.fill(0.0)
+        kernel(x, y)
         y *= scale
         y += 1.0
-        np.subtract(y, x, out=step)
-        residual = float(np.abs(step, out=step).max())
+        subtract(y, x, out=step)
+        residual = float(largest(absolute(step, out=step)))
         stalled = 0 if residual < best else stalled + 1
         best = min(best, residual)
         if not math.isfinite(residual) or stalled >= 20:

@@ -32,7 +32,9 @@ explicitly rather than taking the default (``forkserver`` on Linux from
 Python 3.14).  The pin first loads scipy's bundled OpenBLAS, which only
 ``scipy.linalg`` or LAPACK's ``_flapack`` extension would load otherwise,
 so a trial that loads either after the fork (a Jacobian spectrum loads
-``_flapack`` on its first call) finds it already pinned.
+``_flapack`` on its first call) finds it already pinned.  The pooled
+branch loads ``numpy.random`` before the fork too, for the workers to
+inherit; it is not loaded at import, which it would slow.
 
 ``run_trials`` returns the results with the run's sidecar record:
 ``config`` (``cfg.echo()``), ``workers``, ``blas_threads`` (per library, as
@@ -315,6 +317,9 @@ def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1, **extra):
             _init(cfg, extra)
             results = [trial_fn(t) for t in tasks]
         else:
+            # numpy loads numpy.random (11 extension modules) on first use, and
+            # every worker's seeds and draws use it: load it once, before the fork.
+            import numpy.random  # noqa: F401
             # A fork pool starts all its workers at the first submit, however few the tasks.
             workers = max(1, min(workers, len(tasks)))
             chunk = max(1, min(8, len(tasks) // (2 * workers)))
@@ -355,7 +360,14 @@ def _sweep_trial(task: tuple[int, int]) -> dict | None:
     report = _solve(M)
     if report is None:
         return None
-    max_r_norm = float(np.max(np.abs(report.R))) / (M.alpha * math.sqrt(2.0 * math.log(M.n)))
+    # max|R| with R = alpha^2 (x - 1 - Z/alpha), in one scratch buffer:
+    # rounding a product by alpha^2 > 0 is monotone and sign-symmetric, so
+    # alpha^2 max|x - 1 - Z/alpha| has the same bits.
+    alpha = M.alpha
+    r = np.subtract(report.x, 1.0)
+    r -= report.Z / alpha
+    max_r = alpha * alpha * float(np.maximum.reduce(np.abs(r, out=r)))
+    max_r_norm = max_r / (alpha * math.sqrt(2.0 * math.log(M.n)))
     return {
         "feasible": report.feasible,
         "min_x": report.min_x,

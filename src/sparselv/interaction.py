@@ -6,21 +6,22 @@ single Gaussian draw.  The largest singular value is taken of the unscaled
 matrix B = mask*A/sqrt(d) by default, which is the object the kappa = 22 norm
 envelope refers to.
 
-Every sparse product of the package goes through one method,
-``InteractionMatrix.unscaled_product``: the Neumann solve, ``matvec`` (and so
-the dynamics' vector field), ``residual_inf`` and ``neumann_summand``.  It
-calls a compiled kernel of ``scipy.sparse._sparsetools`` on the pattern's
-shared index arrays and the raw weights, into a buffer the caller owns,
-without scipy's Python dispatch or a fresh output array per call: on a
-pattern of aligned d x d blocks (``AdjacencyPattern.bsr_index``, such as
-the block-permutation and full patterns) ``bsr_matvec``, the kernel behind
-``bsr @ v``, which reads one column index per block; on any other pattern
-``csr_matvec``, the kernel behind ``csr @ v``.  Each adds a row's terms in
-column order to the buffer's 0.0, as ``csr @ v`` does after its
-``np.zeros``, so the bits are those of ``csr @ v`` either way.  The symbols
-are private to scipy; this is the package's one import of them, and
-``tests/test_interaction.py::test_product_matches_csr_bytes`` fails if a
-scipy release moves or changes either.
+Every sparse product of the package goes through one binding,
+``InteractionMatrix.bound_kernel``: the Neumann solve binds it once per
+solve, and ``unscaled_product`` once per call, for ``matvec`` (and so the
+dynamics' vector field), ``residual_inf`` and ``neumann_summand``.  It is
+a compiled kernel of ``scipy.sparse._sparsetools`` bound to the pattern's
+shared index arrays and the raw weights, which writes into a buffer the
+caller owns, without scipy's Python dispatch or a fresh output array per
+call: on a pattern of aligned d x d blocks (``AdjacencyPattern.bsr_index``,
+such as the block-permutation and full patterns) ``bsr_matvec``, the
+kernel behind ``bsr @ v``, which reads one column index per block; on any
+other pattern ``csr_matvec``, the kernel behind ``csr @ v``.  Each adds a
+row's terms in column order to the buffer's 0.0, as ``csr @ v`` does
+after its ``np.zeros``, so the bits are those of ``csr @ v`` either way.
+The symbols are private to scipy; this is the package's one import of
+them, and ``tests/test_interaction.py::test_product_matches_csr_bytes``
+fails if a scipy release moves or changes either.
 
 ``_load_extension`` loads one of scipy's compiled extensions by path,
 reusing the module if scipy already imported it.  It serves two: the
@@ -137,19 +138,26 @@ class InteractionMatrix:
         indptr, indices = self.pattern.csr_index
         return sp.csr_matrix((self.weights.reshape(-1), indices, indptr), shape=(self.n, self.n))
 
-    def unscaled_product(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out = (mask*A) @ v`` with the raw weights, bit for bit as
-        ``self._unscaled_csr() @ v``; returns ``out``.  ``v`` and ``out``
-        are float64 vectors of length n that do not overlap.  Calls
-        ``bsr_matvec`` when the pattern has a ``bsr_index``, whose d x d
-        blocks are the weights' rows in order, else ``csr_matvec``.
-        Nothing is checked: this is the inner loop of every solve."""
-        out.fill(0.0)
+    def bound_kernel(self):
+        """``kernel(v, out)``, which adds ``(mask*A) @ v`` with the raw
+        weights to ``out``, each row's terms in column order: ``bsr_matvec``
+        when the pattern has a ``bsr_index``, whose d x d blocks are the
+        weights' rows in order, else ``csr_matvec``, each read from this
+        module when bound.  ``v`` and ``out`` are float64 vectors of length
+        n that do not overlap.  Nothing is checked: a solve binds it once
+        and calls it every iteration."""
+        w = self.weights.reshape(-1)
         if (blocks := self.pattern.bsr_index) is not None:
             m = self.n // self.d
-            bsr_matvec(m, m, self.d, self.d, *blocks, self.weights.reshape(-1), v, out)
-        else:
-            csr_matvec(self.n, self.n, *self.pattern.csr_index, self.weights.reshape(-1), v, out)
+            return functools.partial(bsr_matvec, m, m, self.d, self.d, *blocks, w)
+        return functools.partial(csr_matvec, self.n, self.n, *self.pattern.csr_index, w)
+
+    def unscaled_product(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out = (mask*A) @ v`` with the raw weights, bit for bit as
+        ``self._unscaled_csr() @ v``: ``out`` zeroed, then
+        ``bound_kernel()(v, out)``; returns ``out``."""
+        out.fill(0.0)
+        self.bound_kernel()(v, out)
         return out
 
     def matvec(self, v: np.ndarray) -> np.ndarray:

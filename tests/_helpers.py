@@ -7,6 +7,7 @@ from sparselv import (
     AdjacencyPattern,
     InteractionMatrix,
     PatternModel,
+    assemble,
     block_permutation_pattern,
     full_pattern,
     general_regular_pattern,
@@ -76,3 +77,18 @@ def split_cases(draw, max_n=60):
     pattern = AdjacencyPattern(n, row_cols.shape[1], PatternModel.GENERAL_REGULAR,
                                np.sort(row_cols, axis=1))
     return pattern, False
+
+
+@st.composite
+def small_matrices(draw):
+    """Block-permutation or general d-regular draws with n <= 200, from
+    contracting to divergent."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        m, d = draw(st.integers(1, 20)), draw(st.integers(1, 10))
+        sigma = np.random.default_rng(seed).permutation(m)
+        pattern = block_permutation_pattern(m, d, sigma)
+    else:
+        n = draw(st.integers(1, 200))
+        pattern = general_regular_pattern(n, draw(st.integers(1, n)), rng_seed=seed)
+    return assemble(pattern, alpha=draw(st.floats(0.5, 6.0)), seed=seed)

@@ -661,6 +661,88 @@ def test_unread_flags_rejected(command, flag, capsys):
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+# Run in a fresh interpreter with a JSON list of argv lists as argv[1]:
+# calls cli.main on each in turn, and prints how many parsers they used.
+CLI_CALLS_SCRIPT = """
+import json, sys
+from sparselv import cli
+parsers = set()
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+    parsers.add(id(cli.build_parser()))
+print(len(parsers))
+"""
+
+
+def test_one_process_many_calls_write_separate_process_bytes(tmp_path):
+    """``main`` reuses one parser per process, and a call leaves nothing in
+    it for the next: gap, sweep and histogram called in one interpreter
+    write the bytes that each writes in an interpreter of its own.  The
+    sweep's config sets master_seed 5, which gap's default seed of 0 would
+    override if it leaked."""
+    config = write_config(tmp_path, n=60, d=6, kappa_grid=[2.0, 8.0], trials_per_point=3,
+                          master_seed=5)
+
+    def calls(tag):
+        return [
+            ["gap", "--n", "12", "--d", "3", "--trials", "4", "--out", f"{tmp_path}/gap{tag}.csv"],
+            ["sweep", "--config", config, "--out", f"{tmp_path}/sweep{tag}.csv"],
+            ["histogram", "--config", config, "--kappa", "8", "--bins", "8",
+             "--out", f"{tmp_path}/hist{tag}.csv"],
+        ]
+
+    src = str(Path(sparselv.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+
+    def run(argvs):
+        return subprocess.run([sys.executable, "-c", CLI_CALLS_SCRIPT, json.dumps(argvs)],
+                              env=env, capture_output=True, text=True, check=True).stdout
+
+    assert run(calls("_one")) == "1\n"
+    for argv in calls("_own"):
+        run([argv])
+    for name in ("gap", "sweep", "hist"):
+        one, own = (tmp_path / f"{name}{tag}.csv" for tag in ("_one", "_own"))
+        assert one.read_bytes() == own.read_bytes()
+
+
+def test_version_help_and_usage_errors(capsys):
+    """--version and --help exit 0, usage errors exit 2, and the reused
+    parser serves a normal call after each of them."""
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--version"])
+    assert exc_info.value.code == 0
+    assert capsys.readouterr().out == f"{__version__}\n"
+
+    with pytest.raises(SystemExit) as exc_info:
+        main(["--help"])
+    assert exc_info.value.code == 0
+    out = capsys.readouterr().out
+    for command in ("pattern", "solve", "sweep", "histogram", "dynamics", "spectrum", "gap"):
+        assert command in out
+
+    with pytest.raises(SystemExit) as exc_info:
+        main(["gap", "--help"])
+    assert exc_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "--trials" in out and "--config" not in out
+
+    for argv, message in [
+        ([], "the following arguments are required: command"),
+        (["sweep", "--format", "xml"], "invalid choice: 'xml'"),
+        (["histogram"], "the following arguments are required: --kappa"),
+        (["solve", "--n", "six"], "invalid int value: 'six'"),
+    ]:
+        with pytest.raises(SystemExit) as exc_info:
+            main(argv)
+        assert exc_info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    assert main(["pattern", "--n", "12", "--d", "3", "--model", "general_regular"]) == 0
+    assert capsys.readouterr().out.split()[:3] == ["12", "3", "general_regular"]
+
+
 def test_readme_lists_every_config_key():
     """The README's --config list names each SweepConfig field once, so a
     new option is documented on purpose."""
@@ -693,9 +775,10 @@ def test_import_loads_no_ode_or_yaml():
     """A fresh ``import sparselv`` leaves scipy.integrate, scipy.optimize
     and yaml unloaded (only --config needs yaml), and the spectrum modules
     too, scipy.sparse included: it loads numpy and the compiled CSR kernel
-    only."""
+    only.  numpy.random stays unloaded too: a pooled ``run_trials`` loads
+    it before the fork, and an in-process trial on first use."""
     code = "import sparselv, sparselv.cli, sparselv.experiments"
-    names = ("scipy.integrate", "scipy.optimize", "yaml") + SPECTRUM_MODULES
+    names = ("scipy.integrate", "scipy.optimize", "yaml", "numpy.random") + SPECTRUM_MODULES
     assert _modules_loaded_after(code, names) == []
 
 

@@ -20,7 +20,7 @@ from sparselv import (
 )
 from sparselv.experiments import SweepConfig, build_pattern, pattern_seed, trial_seed
 from _helpers import (
-    forced, off_diagonal_2x2, ones_full, rotation_2x2, upper_2x2, zero_matrix,
+    forced, off_diagonal_2x2, ones_full, rotation_2x2, small_matrices, upper_2x2, zero_matrix,
 )
 
 
@@ -129,21 +129,6 @@ def reference_neumann(M, tol=1e-12, max_iter=10_000):
             converged = True
             break
     return x, it, converged, float(np.max(np.abs(x - ones - M.matvec(x))))
-
-
-@st.composite
-def small_matrices(draw):
-    """Block-permutation or general d-regular draws with n <= 200, from
-    contracting to divergent."""
-    seed = draw(st.integers(0, 2**32 - 1))
-    if draw(st.booleans()):
-        m, d = draw(st.integers(1, 20)), draw(st.integers(1, 10))
-        sigma = np.random.default_rng(seed).permutation(m)
-        pattern = block_permutation_pattern(m, d, sigma)
-    else:
-        n = draw(st.integers(1, 200))
-        pattern = general_regular_pattern(n, draw(st.integers(1, n)), rng_seed=seed)
-    return assemble(pattern, alpha=draw(st.floats(0.5, 6.0)), seed=seed)
 
 
 @settings(max_examples=150, deadline=None)

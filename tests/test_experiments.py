@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 import scipy
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
 
 import sparselv
 from sparselv import (
-    ConfigError, InteractionMatrix, PatternModel, SweepConfig, cli, experiments,
-    saturated_equilibrium,
+    ConfigError, PatternModel, SweepConfig, assemble, block_permutation_pattern, cli,
+    experiments, general_regular_pattern, interaction, saturated_equilibrium,
 )
 from sparselv.experiments import (
     MODELS,
@@ -31,6 +32,7 @@ from sparselv.experiments import (
     run_trials,
     trial_seed,
 )
+from _helpers import small_matrices
 
 
 def capped_solver(monkeypatch, reports):
@@ -237,23 +239,61 @@ class TestFeasibilitySweep:
 ], ids=["histogram", "sweep"])
 def test_one_product_per_iteration(monkeypatch, run):
     # Neither trial reads residual_inf, so neither pays its extra product.
+    # Products are counted at the compiled kernels, which the solve binds
+    # once and unscaled_product binds per call.
     reports, products = [], []
-    solve, product = experiments.solve_feasibility, InteractionMatrix.unscaled_product
+    solve = experiments.solve_feasibility
 
     def recorded(M, **kwargs):
         reports.append(solve(M, **kwargs))
         return reports[-1]
 
-    def counted(self, v, out):
-        products.append(1)
-        return product(self, v, out)
-
+    for name in ("csr_matvec", "bsr_matvec"):
+        def counted(*args, kernel=getattr(interaction, name)):
+            products.append(1)
+            return kernel(*args)
+        monkeypatch.setattr(interaction, name, counted)
     monkeypatch.setattr(experiments, "solve_feasibility", recorded)
-    monkeypatch.setattr(InteractionMatrix, "unscaled_product", counted)
     run(SweepConfig(n=100, d=5, model="general_regular", fix_pattern=False,
                     trials_per_point=3, master_seed=1))
     assert len(reports) == 3
     assert len(products) == sum(r.solver_iterations for r in reports)
+
+
+def _checked_max_R(M):
+    """Run ``_sweep_trial`` on M and check its ``max_R_normalized`` against
+    max|R| of M's report, bit for bit; returns the report, or None for a
+    solve that diverged or did not converge."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_matrix", lambda task: M)
+        record = experiments._sweep_trial((0, 0))
+    report = experiments._solve(M)
+    if report is None:
+        assert record is None
+        return None
+    expected = float(np.max(np.abs(report.R))) / (M.alpha * math.sqrt(2.0 * math.log(M.n)))
+    assert record["max_R_normalized"] == expected
+    assert (record["feasible"], record["min_x"]) == (report.feasible, report.min_x)
+    return report
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices())
+def test_sweep_max_R_matches_report_R(M):
+    assume(M.n >= 2)  # the normalization sqrt(2 log n) is 0 at n = 1
+    _checked_max_R(M)
+
+
+@pytest.mark.parametrize("block", [True, False], ids=["bsr", "csr"])
+@pytest.mark.parametrize("alpha, feasible", [(1.5, False), (5.0, True)])
+def test_sweep_max_R_on_both_kernels_and_signs(block, alpha, feasible):
+    if block:
+        pattern = block_permutation_pattern(20, 8, np.random.default_rng(0).permutation(20))
+    else:
+        pattern = general_regular_pattern(150, 6, rng_seed=0)
+    M = assemble(pattern, alpha=alpha, seed=0)
+    assert (M.pattern.bsr_index is not None) == block
+    assert _checked_max_R(M).feasible == feasible
 
 
 class TestAbundanceHistogram:
@@ -535,6 +575,38 @@ os.remove(sys.argv[1])
 cfg = experiments.SweepConfig(n=12, d=3, kappa_grid=[4.0], trials_per_point=2)
 print(json.dumps(experiments.run_feasibility_sweep(cfg).provenance["blas_threads"]))
 """
+
+
+# Run as a script: a pooled run_trials on a fixed pattern, with each
+# worker's _init noting whether numpy.random was loaded when it started.
+NUMPY_RANDOM_SCRIPT = """
+import json, sys
+from sparselv import experiments
+
+init, loaded = experiments._init, {}
+
+def noted(cfg, extra):
+    loaded["at_init"] = "numpy.random" in sys.modules
+    init(cfg, extra)
+
+def probe(task):
+    return loaded["at_init"]
+
+if __name__ == "__main__":
+    experiments._init = noted
+    before = "numpy.random" in sys.modules
+    cfg = experiments.SweepConfig(n=40, d=4)
+    results, _ = experiments.run_trials(cfg, range(3), probe, workers=2)
+    print(json.dumps({"before": before, "after": "numpy.random" in sys.modules,
+                      "workers": results}))
+"""
+
+
+def test_pooled_call_loads_numpy_random_before_the_fork(tmp_path):
+    # numpy loads numpy.random on first use; each worker's seeds need it,
+    # so the caller loads it once and the workers inherit it.
+    report = _script_output(tmp_path, NUMPY_RANDOM_SCRIPT, blas_threads=1)
+    assert report == {"before": False, "after": True, "workers": [True] * 3}
 
 
 def test_pin_covers_a_deleted_library_file(tmp_path):

@@ -25,7 +25,7 @@ from sparselv import (
     singular_gap,
     spectral_norm,
 )
-from sparselv import interaction
+from sparselv import experiments, interaction
 from sparselv.interaction import DENSE_SPECTRUM_LIMIT
 from _helpers import forced, ones_full, zero_matrix
 
@@ -173,23 +173,39 @@ def test_dense_matches_csr_toarray_bytes(case):
 
 def test_block_patterns_take_the_bsr_kernel(monkeypatch):
     # Products on aligned d x d blocks call bsr_matvec, all others csr_matvec.
+    # The solve binds its kernel from this module, so the counters see
+    # every product: one per iteration of each of the run's solves.
     calls = dict.fromkeys(["csr_matvec", "bsr_matvec"], 0)
     for name in calls:
         def counted(*args, name=name, kernel=getattr(interaction, name)):
             calls[name] += 1
             return kernel(*args)
         monkeypatch.setattr(interaction, name, counted)
+    iterations = []
+    solve = experiments.solve_feasibility
 
-    def kernels(run):
+    def recorded(M, **kwargs):
+        report = solve(M, **kwargs)
+        iterations.append(report.solver_iterations)
+        return report
+
+    monkeypatch.setattr(experiments, "solve_feasibility", recorded)
+
+    def kernels(run, solves):
         calls.update(dict.fromkeys(calls, 0))
+        iterations.clear()
         run()
-        return {name for name, count in calls.items() if count}
+        assert len(iterations) == solves
+        return {name: count for name, count in calls.items() if count}
 
     block = SweepConfig(n=120, d=8, kappa_grid=[4.0, 8.0], trials_per_point=2, master_seed=3)
-    assert kernels(lambda: run_feasibility_sweep(block)) == {"bsr_matvec"}
-    assert kernels(lambda: run_spectrum_check(block, 8.0)) == {"bsr_matvec"}
+    used = kernels(lambda: run_feasibility_sweep(block), 4)
+    assert used == {"bsr_matvec": sum(iterations)}
+    used = kernels(lambda: run_spectrum_check(block, 8.0), 2)
+    assert used == {"bsr_matvec": sum(iterations)}
     general = replace(block, model="general_regular", fix_pattern=False)
-    assert kernels(lambda: run_abundance_histogram(general, kappa=4.0)) == {"csr_matvec"}
+    used = kernels(lambda: run_abundance_histogram(general, kappa=4.0), 2)
+    assert used == {"csr_matvec": sum(iterations)}
 
 
 # Run in a fresh interpreter with "sparselv" or "scipy.sparse" as argv[1],
