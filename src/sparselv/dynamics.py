@@ -115,6 +115,10 @@ def integrate_lv(
             raise ValueError(f"rows must be a list of species indices below {M.n}")
     if not 0 < t_end < np.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not 0 < rel_tol < np.inf:
+        raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
+    if not 0 <= abs_tol < np.inf:
+        raise ValueError(f"abs_tol must be nonnegative and finite, got {abs_tol}")
 
     t_eval = np.linspace(0.0, t_end, max(2, sample_count))
     blocks = _SampleBlocks(M.n, t_eval, reference, rows)

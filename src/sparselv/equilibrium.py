@@ -52,12 +52,12 @@ class EquilibriumReport:
     """Solution of x = 1 + Mx with its Gaussian/remainder decomposition.
 
     ``Z`` (the row sums of mask*A / sqrt(d)), ``R`` = alpha^2 (x - 1 -
-    Z/alpha), ``min_Z`` and ``residual_inf`` = ||x - 1 - Mx||_inf are
-    computed from the read-only ``x`` and ``M`` on first read, then cached:
-    a trial that reads only ``x`` pays for no row sum and no extra product.
-    They reflect ``M`` as it is when first read, so reassigning its
-    ``alpha`` or writing the array its ``weights`` view was made from
-    before then makes them disagree with ``x``.
+    Z/alpha), formed in one buffer, ``min_Z`` and ``residual_inf`` =
+    ||x - 1 - Mx||_inf are computed from the read-only ``x`` and ``M`` on
+    first read, then cached: a trial that reads only ``x`` pays for no row
+    sum and no extra product.  They reflect ``M`` as it is when first read,
+    so reassigning its ``alpha`` or writing the array its ``weights`` view
+    was made from before then makes them disagree with ``x``.
     """
 
     x: np.ndarray
@@ -74,8 +74,10 @@ class EquilibriumReport:
 
     @cached_property
     def R(self) -> np.ndarray:
-        alpha = self.M.alpha
-        return alpha * alpha * (self.x - 1.0 - self.Z / alpha)
+        r = self.x - 1.0
+        r -= self.Z / self.M.alpha
+        r *= self.M.alpha * self.M.alpha
+        return r
 
     @cached_property
     def min_Z(self) -> float:
@@ -299,6 +301,8 @@ def saturated_equilibrium(
     """
     if method not in ("pivoting", "ode_limit"):
         raise ValueError(f"unknown method {method!r}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     M_dense = M.dense()
     if method == "pivoting":
         start = np.ones(M.n, dtype=bool)

@@ -7,15 +7,16 @@ sorted (kappa, trial) order, which makes floating-point sums reproducible
 across 1 and W workers.
 
 Every driver runs its trials through one engine,
-``run_trials(cfg, tasks, trial_fn, workers=1, **extra)``.  It calls the
+``run_trials(cfg, tasks, trial_fn, workers=1)``.  It calls the
 module-level ``trial_fn(task)`` once per task, in-process when
 ``workers == 1`` and otherwise in a pool of at most one process per task
 (which keeps the trials' memory out of the caller, even for one task), and
 returns the results in task order.  Tasks go to the pool in chunks of up
 to 8, small enough that every worker gets some.  Before the first trial
-each worker stores ``cfg`` and the ``extra`` keywords in its context
-``_CTX`` and, when ``cfg.fix_pattern`` is set, builds the fixed pattern
-once.  ``_pattern(task)`` returns that cached pattern, or else trial
+each worker stores ``cfg`` and the fixed pattern (built once, if
+``cfg.fix_pattern``) in ``_CTX``; other constants, such as the histogram's
+bin edges, are bound to ``trial_fn`` with ``functools.partial``.
+``_pattern(task)`` returns that cached pattern, or else trial
 ``task = (kappa_index, trial)``'s own, and ``_matrix(task)`` draws on it
 the seeded matrix at the alpha of ``cfg.kappa_grid[kappa_index]``; the
 single-kappa drivers run on the grid ``[kappa]``, which their sidecars
@@ -32,7 +33,8 @@ explicitly rather than taking the default (``forkserver`` on Linux from
 Python 3.14).  The pin first loads scipy's bundled OpenBLAS, which only
 ``scipy.linalg`` or LAPACK's ``_flapack`` extension would load otherwise,
 so a trial that loads either after the fork (a Jacobian spectrum loads
-``_flapack`` on its first call) finds it already pinned.  The pooled
+``_flapack`` on its first call) finds it already pinned.  The libraries
+are found once per process, at the first pin (see ``_openblas``).  The pooled
 branch loads ``numpy.random`` before the fork too, for the workers to
 inherit; it is not loaded at import, which it would slow.
 
@@ -224,10 +226,9 @@ def build_pattern(cfg: SweepConfig, seed: int) -> AdjacencyPattern:
 _CTX: dict = {}
 
 
-def _init(cfg: SweepConfig, extra: dict) -> None:
+def _init(cfg: SweepConfig) -> None:
     fixed = build_pattern(cfg, pattern_seed(cfg.master_seed)) if cfg.fix_pattern else None
-    _CTX.clear()
-    _CTX.update(extra, cfg=cfg, pattern=fixed)
+    _CTX.update(cfg=cfg, pattern=fixed)
 
 
 def _pattern(task: tuple[int, int]) -> AdjacencyPattern:
@@ -251,16 +252,13 @@ _SCIPY_LIBS = os.path.dirname(scipy.__file__) + ".libs"
 
 
 @functools.cache
-def _bundled_openblas(libs_dir: str) -> list[str]:
-    return sorted(glob.glob(os.path.join(libs_dir, "*openblas*")))
-
-
 def _openblas() -> dict[str, tuple]:
     """``{library file name: (get, set)}`` thread-count functions of every
-    OpenBLAS mapped into this process, found in ``/proc/self/maps``; empty
-    where there is no such file or no OpenBLAS.  scipy's bundled OpenBLAS
-    is loaded first, so it is found before ``scipy.linalg`` loads it."""
-    for path in _bundled_openblas(_SCIPY_LIBS):
+    OpenBLAS mapped into this process, found in ``/proc/self/maps`` once per
+    process; empty where there is no such file or no OpenBLAS.  scipy's
+    bundled OpenBLAS is loaded first, so it is found before ``scipy.linalg``
+    loads it.  A library that another package maps later is not found."""
+    for path in sorted(glob.glob(os.path.join(_SCIPY_LIBS, "*openblas*"))):
         ctypes.CDLL(path)
     try:
         with open("/proc/self/maps") as f:
@@ -305,16 +303,17 @@ def one_blas_thread():
             set_(count)
 
 
-def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1, **extra):
+def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1):
     """``[trial_fn(task) for task in tasks]``, in-process or in a pool of
     at most ``workers`` processes, on one BLAS thread, and the run's sidecar
-    record; see the module docstring.  Raises ValueError for ``workers < 1``."""
+    record; see the module docstring.  Constants other than ``cfg`` are bound
+    to ``trial_fn``.  Raises ValueError for ``workers < 1``."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     t0 = time.time()
     with one_blas_thread() as threads:
         if workers == 1:
-            _init(cfg, extra)
+            _init(cfg)
             results = [trial_fn(t) for t in tasks]
         else:
             # numpy loads numpy.random (11 extension modules) on first use, and
@@ -325,7 +324,7 @@ def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1, **extra):
             chunk = max(1, min(8, len(tasks) // (2 * workers)))
             with ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_init, initargs=(cfg, extra),
+                initializer=_init, initargs=(cfg,),
             ) as pool:
                 results = list(pool.map(trial_fn, tasks, chunksize=chunk))
     return results, {
@@ -360,14 +359,7 @@ def _sweep_trial(task: tuple[int, int]) -> dict | None:
     report = _solve(M)
     if report is None:
         return None
-    # max|R| with R = alpha^2 (x - 1 - Z/alpha), in one scratch buffer:
-    # rounding a product by alpha^2 > 0 is monotone and sign-symmetric, so
-    # alpha^2 max|x - 1 - Z/alpha| has the same bits.
-    alpha = M.alpha
-    r = np.subtract(report.x, 1.0)
-    r -= report.Z / alpha
-    max_r = alpha * alpha * float(np.maximum.reduce(np.abs(r, out=r)))
-    max_r_norm = max_r / (alpha * math.sqrt(2.0 * math.log(M.n)))
+    max_r_norm = float(np.max(np.abs(report.R))) / (M.alpha * math.sqrt(2.0 * math.log(M.n)))
     return {
         "feasible": report.feasible,
         "min_x": report.min_x,
@@ -419,14 +411,14 @@ def run_feasibility_sweep(cfg: SweepConfig, workers: int = 1) -> SweepResult:
 # ---------------------------------------------------------------------------
 
 
-def _hist_trial(trial: int) -> dict | None:
-    """Histogram counts and moments of one equilibrium; None if the solve
-    diverged or did not converge."""
+def _hist_trial(trial: int, edges: np.ndarray) -> dict | None:
+    """Histogram counts and moments of one equilibrium on the bin ``edges``;
+    None if the solve diverged or did not converge."""
     report = _solve(_matrix((0, trial)))
     if report is None:
         return None
     x = report.x
-    counts, _ = np.histogram(x, bins=_CTX["edges"])
+    counts, _ = np.histogram(x, bins=edges)
     return {
         "counts": counts,
         "sum": float(x.sum()),
@@ -466,8 +458,8 @@ def run_abundance_histogram(
             RuntimeWarning,
         )
     edges = np.linspace(1.0 - 8.0 / alpha, 1.0 + 8.0 / alpha, bins + 1)
-    results, record = run_trials(cfg, range(cfg.trials_per_point), _hist_trial, workers,
-                                 edges=edges)
+    trial_fn = functools.partial(_hist_trial, edges=edges)
+    results, record = run_trials(cfg, range(cfg.trials_per_point), trial_fn, workers)
 
     # Sums run in trial order, as the byte-identity across worker counts needs.
     solved = [rec for rec in results if rec is not None]

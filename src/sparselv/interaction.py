@@ -103,8 +103,8 @@ class InteractionMatrix:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         w = np.asarray(self.weights, dtype=np.float64)
         if w.shape != (self.pattern.n, self.pattern.d):
             raise ValueError(

@@ -123,8 +123,15 @@ class TestIntegrateLv:
         {"rows": [3]},
         {"rows": [-1]},
         {"rows": [[0, 1]]},
+        # Unchecked, rel_tol=nan never tripped the step-size floor and ran
+        # without end, and abs_tol=inf let the state run to -1e14 unflagged.
+        {"rel_tol": np.nan},
+        {"rel_tol": 0.0},
+        {"abs_tol": np.inf},
+        {"abs_tol": -1e-10},
     ], ids=["reference_longer", "reference_shorter", "reference_nan",
-            "rows_past_n", "rows_negative", "rows_2d"])
+            "rows_past_n", "rows_negative", "rows_2d",
+            "rel_tol_nan", "rel_tol_zero", "abs_tol_inf", "abs_tol_negative"])
     def test_rejects_before_stepping(self, kwargs, monkeypatch):
         monkeypatch.setattr(dynamics, "_dormand_prince", None)  # stepping would raise TypeError
         with pytest.raises(ValueError, match=next(iter(kwargs))):

@@ -286,6 +286,14 @@ class TestSaturatedEquilibrium:
         with pytest.raises(ValueError):
             saturated_equilibrium(zero_matrix(2), method="lemke")
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0], ids=["nan", "inf", "zero"])
+    def test_invalid_tol_refused(self, tol):
+        # Unchecked, tol=nan or inf made both residual checks pass whatever
+        # x was; pivoting settles on this draw, so only the check can refuse.
+        M = assemble(general_regular_pattern(20, 3, rng_seed=1), 4.0, seed=2)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            saturated_equilibrium(M, tol=tol, method="pivoting")
+
     def test_failures_raise_equilibrium_error(self):
         # One draw far below the threshold (n=100, d=10, block pattern) on
         # which pivoting from all species cycles without settling.

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import json
 import math
@@ -497,10 +498,10 @@ class TestRunTrials:
         started = tmp_path / "started"
         init = experiments._init
 
-        def logged(cfg, extra):
+        def logged(cfg):
             with open(started, "a") as f:
                 f.write(f"{os.getpid()}\n")
-            init(cfg, extra)
+            init(cfg)
 
         monkeypatch.setattr(experiments, "_init", logged)
         results, record = run_trials(self.CFG, range(2), _pid_and_threads, workers=4)
@@ -585,9 +586,9 @@ from sparselv import experiments
 
 init, loaded = experiments._init, {}
 
-def noted(cfg, extra):
+def noted(cfg):
     loaded["at_init"] = "numpy.random" in sys.modules
-    init(cfg, extra)
+    init(cfg)
 
 def probe(task):
     return loaded["at_init"]
@@ -627,7 +628,7 @@ def test_pin_covers_a_deleted_library_file(tmp_path):
 # trials that import scipy.linalg after the fork; in a spectrum check, the
 # spectrum modules each worker had loaded after its trial, and its threads.
 FOOTPRINT_SCRIPT = """
-import json, os, sys
+import glob, json, os, sys
 from sparselv import experiments
 
 def loaded():
@@ -646,8 +647,8 @@ def probed_spectrum_trial(trial):
 
 if __name__ == "__main__":
     cfg = experiments.SweepConfig(n=60, d=6, kappa_grid=[2.0, 4.0], trials_per_point=4)
-    bundled = experiments._bundled_openblas(experiments._SCIPY_LIBS)
-    report = {"bundled": [os.path.basename(p) for p in bundled], "before": loaded()}
+    bundled = glob.glob(os.path.join(experiments._SCIPY_LIBS, "*openblas*"))
+    report = {"bundled": sorted(os.path.basename(p) for p in bundled), "before": loaded()}
     if sys.argv[1] == "sweep":
         record = experiments.run_feasibility_sweep(cfg, workers=2).provenance
         report["after"] = loaded()
@@ -689,23 +690,66 @@ def test_spectrum_check_loads_no_spectrum_module(tmp_path):
     assert all(seen["threads"] == report["threads"] for seen in report["trials"])
 
 
-def _mapped_openblas():
+# Run as a script with a scipy.libs stand-in as argv[1]: prints the OpenBLAS
+# files mapped before the first pin, those the pin found, the threads a
+# two-worker sweep saw, and the files mapped after it.
+NO_BUNDLED_OPENBLAS_SCRIPT = """
+import json, os, sys
+from sparselv import experiments
+
+def mapped():
     with open("/proc/self/maps") as f:
         return sorted({os.path.basename(line.split(maxsplit=5)[-1].strip()) for line in f
                        if "openblas" in line})
 
+experiments._SCIPY_LIBS = sys.argv[1]
+before = mapped()
+found = sorted(experiments._openblas())
+cfg = experiments.SweepConfig(n=60, d=6, kappa_grid=[2.0, 4.0], trials_per_point=2)
+threads = experiments.run_feasibility_sweep(cfg, workers=2).provenance["blas_threads"]
+print(json.dumps({"before": before, "found": found, "threads": threads, "after": mapped()}))
+"""
+
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
 @pytest.mark.parametrize("libs_dir", ["empty", "missing"])
-def test_pin_loads_nothing_where_scipy_bundles_no_openblas(libs_dir, monkeypatch, tmp_path):
+def test_pin_loads_nothing_where_scipy_bundles_no_openblas(libs_dir, tmp_path):
+    # In a fresh interpreter, so that no earlier pin has found the libraries.
     (tmp_path / "empty").mkdir()
-    monkeypatch.setattr(experiments, "_SCIPY_LIBS", str(tmp_path / libs_dir))
-    mapped = _mapped_openblas()
-    assert sorted(experiments._openblas()) == mapped
-    cfg = SweepConfig(n=60, d=6, kappa_grid=[2.0, 4.0], trials_per_point=2)
-    record = run_feasibility_sweep(cfg, workers=2).provenance
-    assert record["blas_threads"] == {name: 1 for name in mapped}
-    assert _mapped_openblas() == mapped
+    report = _script_output(tmp_path, NO_BUNDLED_OPENBLAS_SCRIPT, str(tmp_path / libs_dir),
+                            blas_threads=1)
+    assert report["found"] == report["before"] == report["after"]
+    assert report["threads"] == {name: 1 for name in report["before"]}
+
+
+# Run as a script: counts the opens of /proc/self/maps over two run_trials
+# calls, and prints whether _openblas() gave the same dict after each.
+OPENBLAS_ONCE_SCRIPT = """
+import builtins, json
+from sparselv import experiments
+
+reads = []
+
+def counted(file, *args, **kwargs):
+    if file == "/proc/self/maps":
+        reads.append(file)
+    return builtins.open(file, *args, **kwargs)
+
+def probe(task):
+    return task
+
+experiments.open = counted
+cfg = experiments.SweepConfig(n=4, d=2)
+experiments.run_trials(cfg, [0], probe)
+first = experiments._openblas()
+experiments.run_trials(cfg, [0], probe)
+print(json.dumps({"reads": len(reads), "same": experiments._openblas() is first}))
+"""
+
+
+def test_openblas_found_once_per_process(tmp_path):
+    report = _script_output(tmp_path, OPENBLAS_ONCE_SCRIPT, blas_threads=1)
+    assert report == {"reads": 1, "same": True}
 
 
 def test_sweep_and_histogram_trials_build_no_csr_matrix(monkeypatch, tmp_path):
@@ -723,8 +767,8 @@ def test_sweep_and_histogram_trials_build_no_csr_matrix(monkeypatch, tmp_path):
     sweep, _ = run_trials(cfg, tasks, experiments._sweep_trial)
     assert all(r is not None for r in sweep)
     edges = np.linspace(0.0, 2.0, 11)
-    hist, _ = run_trials(replace(cfg, fix_pattern=False), [0, 1], experiments._hist_trial,
-                         edges=edges)
+    hist, _ = run_trials(replace(cfg, fix_pattern=False), [0, 1],
+                         functools.partial(experiments._hist_trial, edges=edges))
     assert all(r is not None for r in hist)
     assert min(run_singular_gap_trials(n=30, d=4, trials=2, master_seed=7)) > 0.0
     assert cli.main(["solve", "--n", "60", "--d", "6", "--kappa", "8.0",

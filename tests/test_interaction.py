@@ -56,6 +56,16 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble(full_pattern(2), alpha=0.0, seed=0)
 
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_alpha_must_be_finite(self, alpha):
+        # Unchecked, alpha=inf made M = 0 and a "feasible" x = 1, and
+        # alpha=nan a divergence blamed on the spectral radius.
+        M = assemble(general_regular_pattern(20, 3, rng_seed=1), alpha=4.0, seed=2)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            assemble(M.pattern, alpha=alpha, seed=0)
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            M.with_alpha(alpha)
+
 
 class TestMatvec:
     def test_zero_weights(self):
