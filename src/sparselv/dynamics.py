@@ -87,7 +87,7 @@ def integrate_lv(
     rows: np.ndarray | None = None,
 ) -> TrajectoryRecord:
     """Integrate the LV system over [0, t_end] with dense sampling at
-    ``sample_count`` uniform times.
+    ``sample_count`` >= 2 uniform times, 0 and t_end included.
 
     The samples are reduced while the integration steps, at most
     ``_BLOCK`` = 32 sample columns at a time, into the per-sample min, max
@@ -119,8 +119,10 @@ def integrate_lv(
         raise ValueError(f"rel_tol must be positive and finite, got {rel_tol}")
     if not 0 <= abs_tol < np.inf:
         raise ValueError(f"abs_tol must be nonnegative and finite, got {abs_tol}")
+    if sample_count < 2:
+        raise ValueError(f"sample_count must be at least 2, got {sample_count}")
 
-    t_eval = np.linspace(0.0, t_end, max(2, sample_count))
+    t_eval = np.linspace(0.0, t_end, sample_count)
     blocks = _SampleBlocks(M.n, t_eval, reference, rows)
     _, t_stop = _dormand_prince(
         lambda x: lv_field(M, x), x0, float(t_end), rel_tol, abs_tol, t_eval, blocks.columns
@@ -427,8 +429,8 @@ def stability_certificate(M: InteractionMatrix) -> StabilityCertificate:
     to relative tolerance 1e-10 from a seeded start vector.  ``eigsh`` is
     imported here, as it loads ``scipy.linalg``."""
     from scipy.sparse.linalg import eigsh
-    csr = M._unscaled_csr()
-    S = M.scale * (csr + csr.T)
+    bsr = M._unscaled_bsr()
+    S = M.scale * (bsr + bsr.T)
     if S.count_nonzero() == 0:
         return StabilityCertificate(vl_stable_proxy=True, sym_max_eig=0.0)
     if M.n == 1:  # ARPACK needs k < n

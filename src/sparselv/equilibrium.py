@@ -4,10 +4,10 @@ The linear equilibrium x = 1 + Mx is solved by Neumann fixed-point
 iteration (geometric convergence exactly when the spectral radius of M
 is below 1) and decomposed as x = 1 + Z/alpha + R/alpha^2, where Z
 collects the first-order Gaussian terms (i.i.d. N(0,1) by construction)
-and R the higher Neumann orders.  The solve binds the compiled product
-once (``InteractionMatrix.bound_kernel``, see ``sparselv.interaction``),
-and each iteration calls it into one of three buffers allocated per
-solve: the loop allocates nothing and reads no property of the matrix.
+and R the higher Neumann orders.  The solve binds one compiled product,
+``bsr_matvec``, once (``InteractionMatrix.bound_kernel``), and each
+iteration calls it into one of three buffers allocated per solve: the
+loop allocates nothing and reads no property of the matrix.
 The nonnegative saturated equilibrium of the complementarity system is
 found either by support pivoting or as the long-time ODE limit.
 """

@@ -10,29 +10,28 @@ Every sparse product of the package goes through one binding,
 ``InteractionMatrix.bound_kernel``: the Neumann solve binds it once per
 solve, and ``unscaled_product`` once per call, for ``matvec`` (and so the
 dynamics' vector field), ``residual_inf`` and ``neumann_summand``.  It is
-a compiled kernel of ``scipy.sparse._sparsetools`` bound to the pattern's
-shared index arrays and the raw weights, which writes into a buffer the
-caller owns, without scipy's Python dispatch or a fresh output array per
-call: on a pattern of aligned d x d blocks (``AdjacencyPattern.bsr_index``,
-such as the block-permutation and full patterns) ``bsr_matvec``, the
-kernel behind ``bsr @ v``, which reads one column index per block; on any
-other pattern ``csr_matvec``, the kernel behind ``csr @ v``.  Each adds a
-row's terms in column order to the buffer's 0.0, as ``csr @ v`` does
-after its ``np.zeros``, so the bits are those of ``csr @ v`` either way.
-The symbols are private to scipy; this is the package's one import of
-them, and ``tests/test_interaction.py::test_product_matches_csr_bytes``
-fails if a scipy release moves or changes either.
+``bsr_matvec`` of ``scipy.sparse._sparsetools``, the kernel behind
+``bsr @ v``, bound to the pattern's shared ``block_index`` and the raw
+weights, which writes into a buffer the caller owns, without scipy's
+Python dispatch or a fresh output array per call.  The blocks are the
+aligned d x d ones of the block-permutation and full patterns, one column
+index each, and 1 x 1 on any other pattern, a CSR.  It adds a row's terms
+in column order to the buffer's 0.0, as ``csr @ v`` does after its
+``np.zeros``, so the bits are those of ``csr @ v``.  The symbol is private
+to scipy; this is the package's one import of it, and
+``tests/test_interaction.py::test_product_matches_csr_bytes`` fails if a
+scipy release moves or changes it.
 
 ``_load_extension`` loads one of scipy's compiled extensions by path,
 reusing the module if scipy already imported it.  It serves two: the
-kernels' ``scipy.sparse._sparsetools``, at import, and LAPACK's
+kernel's ``scipy.sparse._sparsetools``, at import, and LAPACK's
 ``scipy.linalg._flapack``, on the first Jacobian spectrum.  Importing
 their packages would also load scipy's ``array_api_compat``,
 ``numpy.f2py`` and ``numpy.testing``, about half of the package's import
 time and memory, which no trial needs.  The ``sys.modules`` entry that an
 extension's single-phase init makes is removed, so a later import of its
 package runs as in a fresh interpreter.  Dense matrices are filled from
-``row_cols`` in numpy; only ``_unscaled_csr``, for the ARPACK helpers
+``row_cols`` in numpy; only ``_unscaled_bsr``, for the ARPACK helpers
 ``spectral_norm`` and ``stability_certificate``, imports ``scipy.sparse``.
 """
 
@@ -83,7 +82,6 @@ def _load_extension(package: str, name: str):
 
 
 _SPARSETOOLS = _load_extension("sparse", "_sparsetools")
-csr_matvec = _SPARSETOOLS.csr_matvec
 bsr_matvec = _SPARSETOOLS.bsr_matvec
 
 
@@ -131,30 +129,27 @@ class InteractionMatrix:
         """Same Gaussian draw, different interaction strength; shares the weights."""
         return replace(self, alpha=alpha)
 
-    def _unscaled_csr(self) -> scipy.sparse.csr_matrix:
-        # CSR of mask*A (raw weights, no normalization) for the ARPACK
+    def _unscaled_bsr(self) -> scipy.sparse.bsr_matrix:
+        # BSR of mask*A (raw weights, no normalization) for the ARPACK
         # helpers.  Its data is a view of the weights, its indices the pattern's.
         import scipy.sparse as sp
-        indptr, indices = self.pattern.csr_index
-        return sp.csr_matrix((self.weights.reshape(-1), indices, indptr), shape=(self.n, self.n))
+        b, indptr, indices = self.pattern.block_index
+        return sp.bsr_matrix((self.weights.reshape(-1, b, b), indices, indptr), shape=(self.n, self.n))
 
     def bound_kernel(self):
         """``kernel(v, out)``, which adds ``(mask*A) @ v`` with the raw
         weights to ``out``, each row's terms in column order: ``bsr_matvec``
-        when the pattern has a ``bsr_index``, whose d x d blocks are the
-        weights' rows in order, else ``csr_matvec``, each read from this
-        module when bound.  ``v`` and ``out`` are float64 vectors of length
-        n that do not overlap.  Nothing is checked: a solve binds it once
-        and calls it every iteration."""
-        w = self.weights.reshape(-1)
-        if (blocks := self.pattern.bsr_index) is not None:
-            m = self.n // self.d
-            return functools.partial(bsr_matvec, m, m, self.d, self.d, *blocks, w)
-        return functools.partial(csr_matvec, self.n, self.n, *self.pattern.csr_index, w)
+        (read from this module when bound) on the pattern's ``block_index``.
+        ``v`` and ``out`` are float64 vectors of length n that do not
+        overlap.  Nothing is checked: a solve binds it once and calls it
+        every iteration."""
+        b, indptr, indices = self.pattern.block_index
+        m = self.n // b
+        return functools.partial(bsr_matvec, m, m, b, b, indptr, indices, self.weights.reshape(-1))
 
     def unscaled_product(self, v: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = (mask*A) @ v`` with the raw weights, bit for bit as
-        ``self._unscaled_csr() @ v``: ``out`` zeroed, then
+        ``self._unscaled_bsr() @ v``: ``out`` zeroed, then
         ``bound_kernel()(v, out)``; returns ``out``."""
         out.fill(0.0)
         self.bound_kernel()(v, out)
@@ -220,16 +215,16 @@ def spectral_norm(
     0, and at n = 1 the norm is the one weight's absolute value.  ``svds``
     is imported here, as it loads ``scipy.linalg``.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     from scipy.sparse.linalg import svds
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    csr = M._unscaled_csr()
+    bsr = M._unscaled_bsr()
     factor = 1.0 / math.sqrt(M.d) if unscaled else M.scale
-    if M.n == 1 or csr.count_nonzero() == 0:  # ARPACK needs k < n and a nonzero start product
-        sigma = factor * float(np.abs(csr.data).max(initial=0.0))
+    if M.n == 1 or bsr.count_nonzero() == 0:  # ARPACK needs k < n and a nonzero start product
+        sigma = factor * float(np.abs(bsr.data).max(initial=0.0))
     else:
         v0 = np.random.default_rng(0).standard_normal(M.n)
-        top = svds(csr, k=1, tol=tol, v0=v0, return_singular_vectors=False)
+        top = svds(bsr, k=1, tol=tol, v0=v0, return_singular_vectors=False)
         sigma = factor * float(top[0])
     unscaled_norm = sigma if unscaled else sigma * M.alpha
     return SpectralReport(

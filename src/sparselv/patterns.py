@@ -50,16 +50,15 @@ class AdjacencyPattern:
     iff their ``row_cols`` arrays are equal.  ``row_cols`` is a read-only
     view; the array passed in stays writable.
 
-    ``csr_index`` is the mask's CSR ``(indptr, indices)``, built on first
-    use and then shared, read-only, by every matrix on the pattern: the
-    compiled product of ``sparselv.interaction`` and the CSR of
-    ``InteractionMatrix._unscaled_csr`` both read it, so a trial on a fixed
-    pattern copies no index.  It is int32 where n * d < 2^31, else int64.
-    ``bsr_index``, for the compiled BSR product, is the mask as aligned
-    d x d blocks (block row pointers and block columns); it is ``None``
-    unless d >= 2, d divides n and every row of block row k holds exactly
-    c_k * d + 0..d-1.  A column outside [0, n) is refused: neither
-    compiled product nor the dense fill checks its indices.
+    ``block_index`` is ``(b, indptr, indices)``: the mask as a BSR of b x b
+    blocks, built on first use and then shared, read-only, by every matrix
+    on the pattern, so a trial on a fixed pattern copies no index.  b = d
+    when d >= 2, d divides n and every row of block row k holds exactly
+    c_k * d + 0..d-1 (the block-permutation and full patterns); otherwise
+    b = 1, and the arrays are the mask's CSR.  They are int32 where
+    n * d < 2^31, else int64.  n or d below 1, and a column outside [0, n),
+    are refused: neither the compiled product nor the dense fill checks
+    its indices.
     """
 
     n: int
@@ -70,6 +69,8 @@ class AdjacencyPattern:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if self.n < 1 or self.d < 1:
+            raise ValueError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
         rc = np.asarray(self.row_cols, dtype=np.int64)
         if rc.shape != (self.n, self.d):
             raise ValueError(f"row_cols shape {rc.shape} != ({self.n}, {self.d})")
@@ -81,34 +82,24 @@ class AdjacencyPattern:
         object.__setattr__(self, "row_cols", rc)
 
     @cached_property
-    def csr_index(self) -> tuple[np.ndarray, np.ndarray]:
-        nnz = self.n * self.d
-        index = np.int32 if nnz < 2**31 else np.int64
-        indptr = np.arange(0, nnz + 1, self.d, dtype=index)
-        indices = self.row_cols.reshape(-1).astype(index, copy=False)
-        for a in (indptr, indices):
-            a.setflags(write=False)
-        return indptr, indices
-
-    @cached_property
-    def bsr_index(self) -> tuple[np.ndarray, np.ndarray] | None:
+    def block_index(self) -> tuple[int, np.ndarray, np.ndarray]:
         # From row_cols, not the model: a full pattern is one block.  It
-        # first runs inside a trial, so it exits after one modulo on a
-        # general pattern.  The kernel computes each block's offset d^2 * jj
+        # first runs inside a trial, so on a general pattern the block test
+        # stops after one modulo.  The kernel computes each block's offset b^2 * jj
         # in the index type, hence int32 only while n * d < 2^31.
         n, d = self.n, self.d
-        if d < 2 or n % d:
-            return None
-        blocks = self.row_cols.reshape(n // d, d, d)
-        starts = blocks[:, 0, 0]
-        if (starts % d).any() or not (blocks == starts[:, None, None] + np.arange(d)).all():
-            return None
+        b, cols = 1, self.row_cols.reshape(-1)
+        if d >= 2 and n % d == 0:
+            blocks = self.row_cols.reshape(n // d, d, d)
+            starts = blocks[:, 0, 0]
+            if not (starts % d).any() and (blocks == starts[:, None, None] + np.arange(d)).all():
+                b, cols = d, starts // d
         index = np.int32 if n * d < 2**31 else np.int64
-        indptr = np.arange(n // d + 1, dtype=index)
-        indices = (starts // d).astype(index)
+        indptr = np.arange(0, cols.size + 1, d // b, dtype=index)
+        indices = cols.astype(index, copy=False)
         for a in (indptr, indices):
             a.setflags(write=False)
-        return indptr, indices
+        return b, indptr, indices
 
     @cached_property
     def strong_components(self) -> tuple[int, np.ndarray]:
@@ -124,7 +115,7 @@ class AdjacencyPattern:
         min-label propagation.  A round places at least the component of
         its smallest vertex, and on a balanced pattern (every column used
         d times) all of them, as each edge then lies inside a component.
-        Like the CSR index, the result is built once per pattern.
+        Like the block index, the result is built once per pattern.
         """
         n, d = self.n, self.d
         cols = self.row_cols.reshape(-1)

@@ -801,24 +801,33 @@ def test_ode_paths_load_no_integrator_library():
 
 
 def test_spectrum_run_loads_no_spectrum_module(tmp_path):
-    """A ``sparselv spectrum`` run, on two workers, loads none of the
-    spectrum modules, in the caller or (the check runs on each worker's
-    module list too) in its trials."""
-    config, out = write_config(tmp_path, n=120, d=6, trials_per_point=2), tmp_path / "spectrum.csv"
-    code = f"""
+    """A ``sparselv spectrum`` run, and a ``sweep`` and a ``histogram``
+    run, each on two workers, load none of the spectrum modules, in the
+    caller or (the check runs on each worker's module list too) in their
+    trials.  The histogram's per-trial general patterns take the compiled
+    kernel at 1 x 1 blocks, the other runs' block pattern at d x d."""
+    runs = [("spectrum", "_spectrum_trial", {}, ["--kappa", "8"]),
+            ("sweep", "_sweep_trial", {}, []),
+            ("histogram", "_hist_trial", {"model": "general_regular", "fix_pattern": False},
+             ["--kappa", "4"])]
+    for command, trial, model, args in runs:
+        (tmp_path / command).mkdir()
+        config = write_config(tmp_path / command, n=120, d=6, trials_per_point=2, **model)
+        out = tmp_path / command / "out.csv"
+        code = f"""
 import sys
 from sparselv import cli, experiments
-trial = experiments._spectrum_trial
-def probed(t):
-    row = trial(t)
+trial = experiments.{trial}
+def probed(*args, **kwargs):
+    result = trial(*args, **kwargs)
     assert not [m for m in {SPECTRUM_MODULES!r} if m in sys.modules], "a trial loaded one"
-    return row
-experiments._spectrum_trial = probed
-assert cli.main(["spectrum", "--config", {config!r}, "--kappa", "8", "--threads", "2",
+    return result
+experiments.{trial} = probed
+assert cli.main([{command!r}, "--config", {config!r}, *{args!r}, "--threads", "2",
                  "--out", {str(out)!r}]) == 0
 """
-    assert _modules_loaded_after(code, SPECTRUM_MODULES) == []
-    assert len(out.read_text().splitlines()) == 3
+        assert _modules_loaded_after(code, SPECTRUM_MODULES) == [], command
+    assert len((tmp_path / "spectrum" / "out.csv").read_text().splitlines()) == 3
 
 
 def test_only_the_cli_imports_format_modules():

@@ -129,9 +129,14 @@ class TestIntegrateLv:
         {"rel_tol": 0.0},
         {"abs_tol": np.inf},
         {"abs_tol": -1e-10},
+        # Unchecked, a sample_count below 2 was silently raised to 2.
+        {"sample_count": 1},
+        {"sample_count": 0},
+        {"sample_count": -5},
     ], ids=["reference_longer", "reference_shorter", "reference_nan",
             "rows_past_n", "rows_negative", "rows_2d",
-            "rel_tol_nan", "rel_tol_zero", "abs_tol_inf", "abs_tol_negative"])
+            "rel_tol_nan", "rel_tol_zero", "abs_tol_inf", "abs_tol_negative",
+            "sample_count_1", "sample_count_0", "sample_count_negative"])
     def test_rejects_before_stepping(self, kwargs, monkeypatch):
         monkeypatch.setattr(dynamics, "_dormand_prince", None)  # stepping would raise TypeError
         with pytest.raises(ValueError, match=next(iter(kwargs))):

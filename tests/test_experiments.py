@@ -240,25 +240,25 @@ class TestFeasibilitySweep:
 ], ids=["histogram", "sweep"])
 def test_one_product_per_iteration(monkeypatch, run):
     # Neither trial reads residual_inf, so neither pays its extra product.
-    # Products are counted at the compiled kernels, which the solve binds
-    # once and unscaled_product binds per call.
-    reports, products = [], []
+    # Products are counted at the compiled kernel, keyed by block size; the
+    # solve binds it once and unscaled_product binds it per call.
+    reports, products = [], {}
     solve = experiments.solve_feasibility
 
     def recorded(M, **kwargs):
         reports.append(solve(M, **kwargs))
         return reports[-1]
 
-    for name in ("csr_matvec", "bsr_matvec"):
-        def counted(*args, kernel=getattr(interaction, name)):
-            products.append(1)
-            return kernel(*args)
-        monkeypatch.setattr(interaction, name, counted)
+    def counted(*args, kernel=interaction.bsr_matvec):
+        products[args[2]] = products.get(args[2], 0) + 1
+        return kernel(*args)
+
+    monkeypatch.setattr(interaction, "bsr_matvec", counted)
     monkeypatch.setattr(experiments, "solve_feasibility", recorded)
     run(SweepConfig(n=100, d=5, model="general_regular", fix_pattern=False,
                     trials_per_point=3, master_seed=1))
     assert len(reports) == 3
-    assert len(products) == sum(r.solver_iterations for r in reports)
+    assert products == {1: sum(r.solver_iterations for r in reports)}
 
 
 def _checked_max_R(M):
@@ -293,7 +293,7 @@ def test_sweep_max_R_on_both_kernels_and_signs(block, alpha, feasible):
     else:
         pattern = general_regular_pattern(150, 6, rng_seed=0)
     M = assemble(pattern, alpha=alpha, seed=0)
-    assert (M.pattern.bsr_index is not None) == block
+    assert (M.pattern.block_index[0] == 8) == block
     assert _checked_max_R(M).feasible == feasible
 
 
@@ -755,13 +755,14 @@ def test_openblas_found_once_per_process(tmp_path):
 def test_sweep_and_histogram_trials_build_no_csr_matrix(monkeypatch, tmp_path):
     # Neumann solves and the dynamics call the compiled kernel on the
     # pattern's index arrays, and dense matrices are filled from row_cols; a
-    # CSR matrix is built only for spectra and norms.
-    def refuse(self, *args, **kwargs):
-        raise AssertionError("a trial built a csr_matrix")
+    # CSR or BSR matrix is built only for ARPACK's norms and certificates.
+    for matrix in (sp.csr_matrix, sp.bsr_matrix):
+        def refuse(self, *args, name=matrix.__name__, **kwargs):
+            raise AssertionError(f"a trial built a {name}")
 
-    monkeypatch.setattr(sp.csr_matrix, "__init__", refuse)
-    with pytest.raises(AssertionError, match="built a csr_matrix"):
-        sp.csr_matrix(np.eye(2))
+        monkeypatch.setattr(matrix, "__init__", refuse)
+        with pytest.raises(AssertionError, match=f"built a {matrix.__name__}"):
+            matrix(np.eye(2))
     cfg = SweepConfig(n=60, d=6, kappa_grid=[1.0, 4.0], trials_per_point=2)
     tasks = [(0, 0), (1, 1)]
     sweep, _ = run_trials(cfg, tasks, experiments._sweep_trial)
@@ -783,10 +784,10 @@ def test_trials_on_a_fixed_pattern_share_index_arrays():
     cfg = SweepConfig(n=60, d=6, kappa_grid=[2.0, 4.0], trials_per_point=2)
     (a, b), _ = run_trials(cfg, [(0, 0), (1, 1)], experiments._matrix)
     assert a.weights.tobytes() != b.weights.tobytes()
-    csr_a, csr_b = a._unscaled_csr(), b._unscaled_csr()
-    assert csr_a.indptr is csr_b.indptr
-    assert np.shares_memory(csr_a.indices, csr_b.indices)
-    assert a.pattern.csr_index is b.pattern.csr_index
+    bsr_a, bsr_b = a._unscaled_bsr(), b._unscaled_bsr()
+    assert bsr_a.indptr is bsr_b.indptr
+    assert np.shares_memory(bsr_a.indices, bsr_b.indices)
+    assert a.pattern.block_index is b.pattern.block_index
 
 
 def test_singular_gap_trials():

@@ -24,6 +24,7 @@ from sparselv import (
     run_spectrum_check,
     singular_gap,
     spectral_norm,
+    stability_certificate,
 )
 from sparselv import experiments, interaction
 from sparselv.interaction import DENSE_SPECTRUM_LIMIT
@@ -104,16 +105,24 @@ class TestMatvec:
             M.matvec(np.ones(4))
 
 
+def _csr(M):
+    """The CSR of mask*A with the raw weights, built here from row_cols."""
+    n, d = M.n, M.d
+    return sp.csr_matrix((M.weights.reshape(-1), M.pattern.row_cols.reshape(-1),
+                          np.arange(0, n * d + 1, d)), shape=(n, n))
+
+
 def test_weights_read_only_and_shared_by_the_csr():
     M = assemble(general_regular_pattern(40, 5, rng_seed=2), alpha=2.0, seed=6)
     with pytest.raises(ValueError):
         M.weights[0, 0] = 1.0
-    csr = M._unscaled_csr()
-    assert np.shares_memory(csr.data, M.weights)
-    assert csr.indices.dtype == csr.indptr.dtype == np.int32
+    bsr = M._unscaled_bsr()
+    assert bsr.blocksize == (1, 1)  # a general pattern's BSR is its CSR
+    assert np.shares_memory(bsr.data, M.weights)
+    assert bsr.indices.dtype == bsr.indptr.dtype == np.int32
     # The index arrays are the pattern's, read-only as the weights are.
-    indptr, indices = M.pattern.csr_index
-    assert csr.indptr is indptr and np.shares_memory(csr.indices, indices)
+    _, indptr, indices = M.pattern.block_index
+    assert bsr.indptr is indptr and np.shares_memory(bsr.indices, indices)
     assert not indptr.flags.writeable and not indices.flags.writeable
     M2 = M.with_alpha(4.0)
     assert M2.weights is M.weights
@@ -150,23 +159,18 @@ def product_cases(draw):
 @settings(max_examples=150, deadline=None)
 @given(product_cases(), st.booleans())
 def test_product_matches_csr_bytes(case, wide_index):
-    # The shared product calls scipy's private compiled kernels directly,
-    # bsr_matvec on block patterns and csr_matvec on the others; it must give
-    # the bytes of csr @ v, from a CSR built here from row_cols.
+    # The shared product calls scipy's private compiled kernel bsr_matvec
+    # directly, on d x d blocks for block patterns and 1 x 1 blocks for the
+    # others; it must give the bytes of csr @ v, from a CSR built here.
     M, v = case
-    n, d = M.n, M.d
-    reference = sp.csr_matrix(
-        (M.weights.reshape(-1), M.pattern.row_cols.reshape(-1), np.arange(0, n * d + 1, d)),
-        shape=(n, n),
-    ) @ v
-    if wide_index:  # the int64 index paths of n * d >= 2^31, forced on a small pattern
-        for name in ("csr_index", "bsr_index"):
-            if (index := getattr(M.pattern, name)) is not None:
-                vars(M.pattern)[name] = tuple(a.astype(np.int64) for a in index)
-    out = np.full(n, np.nan)
+    reference = _csr(M) @ v
+    if wide_index:  # the int64 index path of n * d >= 2^31, forced on a small pattern
+        b, *index = M.pattern.block_index
+        vars(M.pattern)["block_index"] = (b, *(a.astype(np.int64) for a in index))
+    out = np.full(M.n, np.nan)
     assert M.unscaled_product(v, out) is out
     assert out.tobytes() == reference.tobytes()
-    assert M.matvec(v).tobytes() == (M.scale * (M._unscaled_csr() @ v)).tobytes()
+    assert M.matvec(v).tobytes() == (M.scale * reference).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -175,22 +179,24 @@ def test_dense_matches_csr_toarray_bytes(case):
     # The dense expansion is filled from row_cols in numpy, not by a CSR; it
     # must give the bytes of the CSR's toarray(), scaled as before.
     M, _ = case
-    raw = M._unscaled_csr().toarray()
+    raw = _csr(M).toarray()
     assert M._unscaled_dense().tobytes() == raw.tobytes()
     assert M.dense().tobytes() == (M.scale * raw).tobytes()
     assert M.dense(unscaled=True).tobytes() == (1.0 / math.sqrt(M.d) * raw).tobytes()
 
 
 def test_block_patterns_take_the_bsr_kernel(monkeypatch):
-    # Products on aligned d x d blocks call bsr_matvec, all others csr_matvec.
-    # The solve binds its kernel from this module, so the counters see
-    # every product: one per iteration of each of the run's solves.
-    calls = dict.fromkeys(["csr_matvec", "bsr_matvec"], 0)
-    for name in calls:
-        def counted(*args, name=name, kernel=getattr(interaction, name)):
-            calls[name] += 1
-            return kernel(*args)
-        monkeypatch.setattr(interaction, name, counted)
+    # Every product calls bsr_matvec, on d x d blocks for aligned block
+    # patterns and 1 x 1 blocks for all others.  The solve binds its kernel
+    # from this module, so the counter sees every product, keyed by block
+    # size: one per iteration of each of the run's solves.
+    calls = {}
+
+    def counted(*args, kernel=interaction.bsr_matvec):
+        calls[args[2]] = calls.get(args[2], 0) + 1
+        return kernel(*args)
+
+    monkeypatch.setattr(interaction, "bsr_matvec", counted)
     iterations = []
     solve = experiments.solve_feasibility
 
@@ -202,20 +208,43 @@ def test_block_patterns_take_the_bsr_kernel(monkeypatch):
     monkeypatch.setattr(experiments, "solve_feasibility", recorded)
 
     def kernels(run, solves):
-        calls.update(dict.fromkeys(calls, 0))
+        calls.clear()
         iterations.clear()
         run()
         assert len(iterations) == solves
-        return {name: count for name, count in calls.items() if count}
+        return dict(calls)
 
     block = SweepConfig(n=120, d=8, kappa_grid=[4.0, 8.0], trials_per_point=2, master_seed=3)
     used = kernels(lambda: run_feasibility_sweep(block), 4)
-    assert used == {"bsr_matvec": sum(iterations)}
+    assert used == {8: sum(iterations)}
     used = kernels(lambda: run_spectrum_check(block, 8.0), 2)
-    assert used == {"bsr_matvec": sum(iterations)}
+    assert used == {8: sum(iterations)}
     general = replace(block, model="general_regular", fix_pattern=False)
     used = kernels(lambda: run_abundance_histogram(general, kappa=4.0), 2)
-    assert used == {"csr_matvec": sum(iterations)}
+    assert used == {1: sum(iterations)}
+
+
+@pytest.mark.parametrize("build, b", [
+    (lambda: block_permutation_pattern(15, 8, np.random.default_rng(1).permutation(15)), 8),
+    (lambda: block_permutation_pattern(40, 4, np.arange(40)), 4),  # M + M^T merges blocks
+    (lambda: full_pattern(30), 30),
+    (lambda: general_regular_pattern(300, 6, rng_seed=2), 1),
+    (lambda: general_regular_pattern(120, 8, rng_seed=3), 1),  # d divides n, unaligned
+], ids=["block", "block_identity", "full", "general", "general_divisible"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_arpack_helpers_match_a_csr_bit_for_bit(build, b, seed):
+    # spectral_norm and stability_certificate run ARPACK on the pattern's
+    # BSR; at either block size they must give the floats of svds and eigsh
+    # on a CSR built here, whose transpose is a CSC with kernels of its own.
+    from scipy.sparse.linalg import eigsh, svds
+    M = assemble(build(), alpha=2.0, seed=seed)
+    assert M.pattern.block_index[0] == b
+    csr, v0 = _csr(M), np.random.default_rng(0).standard_normal(M.n)
+    top = svds(csr, k=1, tol=1e-10, v0=v0, return_singular_vectors=False)[0]
+    assert spectral_norm(M).spectral_norm == 1.0 / math.sqrt(M.d) * float(top)
+    S = M.scale * (csr + csr.T)
+    lam = eigsh(S, k=1, which="LA", tol=1e-10, maxiter=10_000, v0=v0, return_eigenvectors=False)
+    assert stability_certificate(M).sym_max_eig == float(lam[0])
 
 
 # Run in a fresh interpreter with "sparselv" or "scipy.sparse" as argv[1],
@@ -298,8 +327,11 @@ class TestSpectralNorm:
             assert rep.norm_bound_holds and rep.spectral_norm < 22.0
 
     def test_invalid_tol(self):
-        with pytest.raises(ValueError):
-            spectral_norm(zero_matrix(2), tol=0.0)
+        # Checked only for tol <= 0, nan on the zero matrix and inf at n = 1
+        # gave a report: neither branch reaches svds.
+        for M, tol in [(zero_matrix(2), 0.0), (zero_matrix(6), np.nan), (ones_full(1), np.inf)]:
+            with pytest.raises(ValueError, match="positive and finite"):
+                spectral_norm(M, tol=tol)
 
 
 def test_hermitization_spectrum_symmetric():

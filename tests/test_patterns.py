@@ -212,24 +212,39 @@ def test_column_outside_the_matrix_is_refused(column):
     assert AdjacencyPattern(3, 2, PatternModel.GENERAL_REGULAR, rc).row_cols.max() == 2
 
 
-def test_bsr_index_only_for_aligned_blocks():
-    # The BSR kernel checks no shapes: an index on anything but aligned
-    # d x d blocks would make it read past its arrays.
+@pytest.mark.parametrize("n, d", [(5, 0), (0, 3), (0, 0), (-1, 2)])
+def test_no_rows_or_no_columns_is_refused(n, d):
+    # Accepted, d = 0 failed at the first product with a ZeroDivisionError
+    # in the index build, and n = 0 at a solve's empty reduction.
+    with pytest.raises(ValueError, match=rf"got n={n}, d={d}"):
+        AdjacencyPattern(n, d, PatternModel.GENERAL_REGULAR, np.zeros((max(n, 0), d), int))
+
+
+def test_block_index_is_d_only_for_aligned_blocks():
+    # The BSR kernel checks no shapes: d x d blocks on anything but aligned
+    # blocks would make it read past its arrays, so those take 1 x 1 blocks,
+    # the CSR: row pointers 0, d, 2d, ... and the columns of row_cols.
     block = block_permutation_pattern(3, 4, [1, 2, 0])
-    indptr, indices = block.bsr_index
-    assert indptr.tolist() == [0, 1, 2, 3] and indices.tolist() == [1, 2, 0]
+    b, indptr, indices = block.block_index
+    assert b == 4 and indptr.tolist() == [0, 1, 2, 3] and indices.tolist() == [1, 2, 0]
     assert indptr.dtype == indices.dtype == np.int32
     assert not indptr.flags.writeable and not indices.flags.writeable
-    assert block.bsr_index is block.bsr_index
-    assert patterns.full_pattern(5).bsr_index[1].tolist() == [0]
+    assert block.block_index is block.block_index
+    b, _, indices = patterns.full_pattern(5).block_index
+    assert b == 5 and indices.tolist() == [0]
     shifted = block.row_cols.copy()
     shifted[1] += 1  # row 1 holds columns 5..8; row 0, which opens the block row, 4..7
     unaligned = np.tile(np.arange(2, 6), (12, 1))  # one run of 4, starting at column 2
     for p in [block_permutation_pattern(4, 1, [1, 0, 3, 2]),
               AdjacencyPattern(12, 4, PatternModel.BLOCK_PERMUTATION, shifted),
               AdjacencyPattern(12, 4, PatternModel.BLOCK_PERMUTATION, unaligned),
-              general_regular_pattern(60, 6, rng_seed=1)]:
-        assert p.bsr_index is None
+              general_regular_pattern(60, 6, rng_seed=1),
+              proportional_pattern(40, 0.25, rng_seed=3)]:
+        b, indptr, indices = p.block_index
+        assert b == 1 and indptr.dtype == indices.dtype == np.int32
+        assert indptr.tolist() == list(range(0, p.n * p.d + 1, p.d))
+        assert indices.tolist() == p.row_cols.reshape(-1).tolist()
+        assert not indptr.flags.writeable and not indices.flags.writeable
 
 
 @settings(max_examples=200, deadline=None)
