@@ -2,19 +2,19 @@
 
 The vector field is dx_k/dt = x_k (1 - x_k + (Mx)_k) with unit intrinsic
 growth.  Integration uses the explicit adaptive Dormand-Prince 4(5)
-Runge-Kutta pair, stepped here in numpy with the arithmetic of scipy's
-RK45 (tables, initial step, error norm, step controller and dense
-output), so a run loads none of scipy's integrators; the tests keep
-``solve_ivp`` as the reference.  The field is non-stiff in the regimes
-of interest (equilibrium Jacobian eigenvalues are O(1) negative), so
-stiffness shows up as an abort, never as silent degradation.  The dense
-output is folded into the trajectory's per-sample statistics 32 samples
-at a time, so a run keeps the full trace of only the species asked for.
-Jacobian spectra are computed one strongly connected component of the
-pattern at a time (for a block-permutation pattern, one cycle of sigma
-at a time), split by the pattern itself and solved by LAPACK's ``dgeev``
-from scipy's ``_flapack`` extension, so they load no scipy subpackage
-either.
+Runge-Kutta pair, stepped in numpy with scipy's RK45 tables, initial step,
+error norm, controller and dense output, so a run loads no scipy
+integrator; the tests keep ``solve_ivp`` as the reference.  It sums in a
+fixed numpy order, with no BLAS, so a seed gives the same bits on every
+host.  The field is non-stiff in the regimes of interest (equilibrium
+Jacobian eigenvalues are O(1) negative), so stiffness shows up as an
+abort, never as silent degradation.  The dense output is folded into the
+trajectory's per-sample statistics 32 samples at a time, so a run keeps
+the full trace of only the species asked for.  Jacobian spectra are
+computed one strongly connected component of the pattern at a time (for a
+block-permutation pattern, one cycle of sigma at a time), split by the
+pattern itself and solved by LAPACK's ``dgeev`` from scipy's ``_flapack``
+extension, so they load no scipy subpackage either.
 """
 
 from __future__ import annotations
@@ -167,17 +167,25 @@ _DP_P = np.array([
 
 
 def _rms(v):
-    return np.linalg.norm(v) / v.size ** 0.5
+    return np.sqrt(np.add.reduce(v * v) / v.size)
+
+
+def _lincomb(coefs, terms):
+    """Sum of coefs[k] * terms[k], added left to right by numpy ufuncs."""
+    acc = coefs[0] * terms[0]
+    for c, term in zip(coefs[1:], terms[1:]):
+        acc += c * term
+    return acc
 
 
 def _dormand_prince(fun, y, t_bound, rtol, atol, t_eval, columns):
     """Integrate the autonomous y' = fun(y) from t = 0 to ``t_bound`` and
     sample the dense output at ``t_eval`` (sorted, within [0, t_bound]).
 
-    Step by step the arithmetic, and its order, is scipy's RK45: the
-    initial step of Hairer, Norsett & Wanner (II.4), the RMS error norm,
-    the controller with safety 0.9 and factors in [0.2, 10], and a step
-    cut whenever the error norm is not below 1 (a NaN included).  Samples
+    The method is scipy's RK45 (the initial step of Hairer, Norsett &
+    Wanner II.4, the RMS error norm, the controller with safety 0.9 and
+    factors in [0.2, 10], a step cut whenever the error norm is not below 1,
+    a NaN included), summed in a fixed numpy order, not in BLAS.  Samples
     j to j + w - 1 are written, row chunk by row chunk, to the (n, w) array
     ``columns(j, w)``, in order and at most ``_BLOCK`` at a time.  Returns
     the number of samples reached and the time the integration stopped at,
@@ -210,11 +218,11 @@ def _dormand_prince(fun, y, t_bound, rtol, atol, t_eval, columns):
             h_abs = np.abs(h)
             K[0] = f
             for s in range(1, 6):
-                K[s] = fun(y + np.dot(K[:s].T, _DP_A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, _DP_B)
+                K[s] = fun(y + _lincomb(_DP_A[s, :s], K) * h)
+            y_new = y + h * _lincomb(_DP_B, K)
             K[-1] = f_new = fun(y_new)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err = _rms(np.dot(K.T, _DP_E) * h / scale)
+            err = _rms(_lincomb(_DP_E, K) * h / scale)
             if err < 1:
                 factor = 10 if err == 0 else min(10, 0.9 * err ** -0.2)
                 h_abs *= min(1, factor) if rejected else factor
@@ -224,24 +232,18 @@ def _dormand_prince(fun, y, t_bound, rtol, atol, t_eval, columns):
         t_old, y_old, t, y, f = t, y, t_new, y_new, f_new
         upto = np.searchsorted(t_eval, t, side="right")
         if upto > done:
-            p = np.cumprod(np.tile((t_eval[done:upto] - t_old) / (t - t_old), (4, 1)), axis=0)
-            Q = K.T.dot(_DP_P)
-            # Pieces of near-equal width: a one-column piece of a longer step
-            # would take BLAS's matrix-vector path, which rounds differently.
-            pieces = -(-(upto - done) // _BLOCK)
-            cuts = [done + (upto - done) * i // pieces for i in range(pieces + 1)]
-            for j, k in zip(cuts[:-1], cuts[1:]):
-                out = columns(j, k - j)
-                for a, b in _row_chunks(y.size):
-                    out[a:b] = (t - t_old) * np.dot(Q[a:b], p[:, j - done:k - done]) + y_old[a:b, None]
+            powers = np.cumprod(np.tile((t_eval[done:upto] - t_old) / h, (4, 1)), axis=0)
+            weights = _lincomb(_DP_P.T[:, :, None], powers)  # (stage, sample)
+            for j in range(done, upto, _BLOCK):
+                w = weights[:, j - done:j - done + _BLOCK, None]
+                out = columns(j, w.shape[1])
+                for a, b in _row_chunks(y.size, w.shape[1]):  # (sample, row) sums
+                    out[a:b] = (h * _lincomb(w, K[:, None, a:b]) + y_old[a:b]).T
             done = upto
     return done, t
 
 
-# Rows per chunk of the dense output and the distance series, whose
-# temporaries are (chunk, columns) with at most _BLOCK columns.  A chunk's
-# product rounds like the whole one's, except on OpenBLAS when a step spans over 192 samples at n > ~1300:
-# the whole product then leaves the small-matrix kernels.
+# Rows per chunk at _BLOCK columns: a chunk's temporaries hold _CHUNK_ROWS * _BLOCK values.
 _CHUNK_ROWS = 256
 
 # Sample columns per block of the dense output: the stepper writes at most
@@ -249,12 +251,10 @@ _CHUNK_ROWS = 256
 _BLOCK = 32
 
 
-def _row_chunks(n):
-    """Row ranges of at most ``_CHUNK_ROWS`` rows, the last one up to one row
-    longer: np.dot sends a one-row block down another BLAS path, whose
-    roundings differ from the whole product's."""
-    cuts = [*range(0, max(n - 1, 1), _CHUNK_ROWS), n]
-    return zip(cuts[:-1], cuts[1:])
+def _row_chunks(n, columns=_BLOCK):
+    """Row ranges covering ``range(n)``, of _CHUNK_ROWS * _BLOCK // columns rows."""
+    rows = _CHUNK_ROWS * _BLOCK // columns
+    return ((a, min(a + rows, n)) for a in range(0, n, rows))
 
 
 def _row_sum(a):
@@ -448,9 +448,9 @@ def convergence_rate(tr: TrajectoryRecord, floor: float | None = None) -> float 
     """Least-squares slope of log ||x(t) - x*|| over the final half of the
     trajectory, x* being the ``reference`` it was integrated with.  Returns
     None (converged-to-precision sentinel) when the distance sits below
-    ``floor`` over the whole window; ``floor`` defaults to 100 * machine
-    epsilon and should be raised to the integrator noise level when loose
-    tolerances were used."""
+    ``floor`` over the whole window, or is positive at fewer than two
+    samples; ``floor`` defaults to 100 * machine epsilon and should be raised
+    to the integrator noise level when loose tolerances were used."""
     if tr.distance_series is None:
         raise ValueError("need a distance series: integrate with a reference")
     half = len(tr.times) // 2
@@ -458,8 +458,8 @@ def convergence_rate(tr: TrajectoryRecord, floor: float | None = None) -> float 
     d_tail = tr.distance_series[half:]
     if floor is None:
         floor = 100.0 * np.finfo(np.float64).eps
-    if (d_tail < floor).all():
-        return None
     keep = d_tail > 0.0
+    if (d_tail < floor).all() or keep.sum() < 2:
+        return None
     slope = np.polyfit(t_tail[keep], np.log(d_tail[keep]), 1)[0]
     return float(slope)

@@ -40,9 +40,10 @@ inherit; it is not loaded at import, which it would slow.
 
 ``run_trials`` returns the results with the run's sidecar record:
 ``config`` (``cfg.echo()``), ``workers``, ``blas_threads`` (per library, as
-the trials saw them), the ``python``, ``numpy``, ``scipy`` and package
-``version`` and ``wall_time_s``, the wall time of the engine call.  Drivers
-return it as their ``provenance``; the histogram adds its ``bins``.
+the trials saw them), ``blas_cores`` (per library, the core whose kernels
+fix the bits of LAPACK's outputs), the ``python``, ``numpy``, ``scipy`` and
+package ``version`` and ``wall_time_s``, the wall time of the engine call.
+Drivers return it as their ``provenance``; the histogram adds its ``bins``.
 """
 
 from __future__ import annotations
@@ -253,11 +254,12 @@ _SCIPY_LIBS = os.path.dirname(scipy.__file__) + ".libs"
 
 @functools.cache
 def _openblas() -> dict[str, tuple]:
-    """``{library file name: (get, set)}`` thread-count functions of every
-    OpenBLAS mapped into this process, found in ``/proc/self/maps`` once per
-    process; empty where there is no such file or no OpenBLAS.  scipy's
-    bundled OpenBLAS is loaded first, so it is found before ``scipy.linalg``
-    loads it.  A library that another package maps later is not found."""
+    """``{library file name: (get, set, core)}``, the thread-count functions
+    and core name (``SkylakeX``, ``Haswell``, ...) of every OpenBLAS mapped
+    into this process, found in ``/proc/self/maps`` once per process; empty
+    where there is no such file or no OpenBLAS.  scipy's bundled OpenBLAS is
+    loaded first, so it is found before ``scipy.linalg`` loads it.  A
+    library that another package maps later is not found."""
     for path in sorted(glob.glob(os.path.join(_SCIPY_LIBS, "*openblas*"))):
         ctypes.CDLL(path)
     try:
@@ -271,18 +273,18 @@ def _openblas() -> dict[str, tuple]:
         lib = ctypes.CDLL(path)
         for stem in ("scipy_openblas", "openblas"):
             for suffix in ("64_", ""):
-                get = getattr(lib, f"{stem}_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{stem}_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.restype = ctypes.c_int
+                get, set_, core = (getattr(lib, f"{stem}_{f}{suffix}", None)
+                                   for f in ("get_num_threads", "set_num_threads", "get_corename"))
+                if None not in (get, set_, core):
+                    get.restype, core.restype = ctypes.c_int, ctypes.c_char_p
                     set_.argtypes = (ctypes.c_int,)
-                    found.setdefault(os.path.basename(path), (get, set_))
+                    found.setdefault(os.path.basename(path), (get, set_, core().decode()))
     return found
 
 
 def blas_threads() -> dict[str, int]:
     """Threads per loaded OpenBLAS library, by file name."""
-    return {name: get() for name, (get, _) in _openblas().items()}
+    return {name: get() for name, (get, _, _) in _openblas().items()}
 
 
 @contextmanager
@@ -290,16 +292,18 @@ def one_blas_thread():
     """Pin every loaded OpenBLAS to one thread, and scipy's bundled one,
     which it loads if need be, so that a trial that loads ``scipy.linalg``
     or ``_flapack`` after the fork finds it already pinned.  Yields the
-    counts read inside the pin and restores the caller's counts on exit,
-    also when the body raises.  Does nothing where there is no OpenBLAS."""
+    sidecar's ``blas_threads``, the counts read inside the pin, and
+    ``blas_cores``, and restores the caller's counts on exit, also when the
+    body raises.  Does nothing where there is no OpenBLAS."""
     libs = _openblas()
-    saved = [get() for get, _ in libs.values()]
-    for _, set_ in libs.values():
+    saved = [get() for get, _, _ in libs.values()]
+    for _, set_, _ in libs.values():
         set_(1)
     try:
-        yield {name: get() for name, (get, _) in libs.items()}
+        yield {"blas_threads": {name: get() for name, (get, _, _) in libs.items()},
+               "blas_cores": {name: core for name, (_, _, core) in libs.items()}}
     finally:
-        for (_, set_), count in zip(libs.values(), saved):
+        for (_, set_, _), count in zip(libs.values(), saved):
             set_(count)
 
 
@@ -311,7 +315,7 @@ def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1):
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     t0 = time.time()
-    with one_blas_thread() as threads:
+    with one_blas_thread() as blas:
         if workers == 1:
             _init(cfg)
             results = [trial_fn(t) for t in tasks]
@@ -328,7 +332,7 @@ def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1):
             ) as pool:
                 results = list(pool.map(trial_fn, tasks, chunksize=chunk))
     return results, {
-        "config": cfg.echo(), "workers": workers, "blas_threads": threads,
+        "config": cfg.echo(), "workers": workers, **blas,
         "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
         "version": __version__, "wall_time_s": time.time() - t0,
     }

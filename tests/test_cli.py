@@ -35,6 +35,17 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def assert_core_digest(path, digests):
+    """The file's SHA-256 is the one ``digests`` records for the OpenBLAS
+    core that its sidecar names; on a core with none recorded, the failure
+    names the core and the digest the run wrote."""
+    cores = json.loads(Path(f"{path}.meta.json").read_text())["blas_cores"]
+    core = "+".join(sorted(set(cores.values())))
+    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    assert core in digests, f"no digest recorded for OpenBLAS core {core!r}; it wrote {digest}"
+    assert digest == digests[core], f"OpenBLAS core {core!r}"
+
+
 class TestPattern:
     def test_stdout_text(self, capsys):
         assert main(["pattern", "--n", "12", "--d", "3", "--model", "general_regular"]) == 0
@@ -289,18 +300,19 @@ class TestDynamics:
         assert t_header[0] == "species" and len(t_rows) == 10
         assert len(t_header) == 202
 
-    # SHA-256 of the CSV and of its .traces.csv, recorded when the trace
-    # stored the whole (n, samples) states array.
+    # SHA-256 of the CSV and of its .traces.csv, recorded when the stepper
+    # began to sum in a fixed numpy order instead of in BLAS. They hold under
+    # every OpenBLAS core.
     DIGESTS = {
         "block_permutation": (
             {"n": 1000, "d": 8, "t_end": 30.0}, "8",
-            "241edfa3f076f5e8b44f76859fc16ab0edd3d462351e0b0ba0fa2258d843d59c",
-            "24d45befcdebb4848e06d59f524ef203dfa6e4be6abd14c3b5021ae162598517",
+            "e136c9118d9a873f413f1ffe3a14e185045abd77dd5999a6ecf9755fb1c5bbe8",
+            "efe7c763a01032ffdfbebe9def432a9ccc5996ab6eb11c3d18026ab39eb4683f",
         ),
         "general_regular": (
             {"n": 300, "d": 6, "model": "general_regular", "t_end": 20.0, "master_seed": 3}, "4",
-            "52c52315a0742de5a1bf6d509a8894c7a9355a42e9e69727b0e5b346eb9b6df4",
-            "f1ac1681ddce2765e4a72244283799f779c9c55b567e0789775a17296ad68782",
+            "cdf2e7b241395950b62688021d7a369aaa926472884fe02e1dc3faf6f4d512fd",
+            "d3c2ff9d510f97f3a5200eef3426e23514dbe1ad17b62bd8de133de14b7057a2",
         ),
     }
 
@@ -312,6 +324,36 @@ class TestDynamics:
                      "--kappa", kappa, "--out", out]) == 0
         for path, digest in zip((out, out + ".traces.csv"), digests):
             assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
+
+    # A BLAS sum in the stepper shows in these traces' bytes: on SkylakeX
+    # and Prescott, stage sums by np.dot change both, and an error norm by
+    # np.linalg.norm changes the n=3000 one.
+    CORE_CASES = {
+        "block_permutation": ({"n": 1000, "d": 8, "t_end": 30.0}, "8"),
+        "general_regular": ({"n": 3000, "d": 8, "model": "general_regular", "t_end": 20.0,
+                             "master_seed": 2}, "6"),
+    }
+
+    @pytest.mark.parametrize("model", sorted(CORE_CASES))
+    def test_same_bytes_on_another_blas_core(self, model, tmp_path):
+        # Fresh interpreters on this host's OpenBLAS core and on Prescott's,
+        # which any x86-64 host runs: the stepper calls no BLAS, so the
+        # kernels do not show in its bytes.
+        config, kappa = self.CORE_CASES[model]
+        argv = ["dynamics", "--config", write_config(tmp_path, **config), "--kappa", kappa]
+        src = str(Path(sparselv.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env["PYTHONPATH"] = src
+        outs = [tmp_path / "native.csv", tmp_path / "prescott.csv"]
+        for out, coretype in zip(outs, ({}, {"OPENBLAS_CORETYPE": "Prescott"})):
+            subprocess.run([sys.executable, "-c", CLI_CALLS_SCRIPT,
+                            json.dumps([argv + ["--out", str(out)]])],
+                           env={**env, **coretype}, capture_output=True, check=True)
+        for ext in ("", ".traces.csv"):
+            assert len({Path(f"{out}{ext}").read_bytes() for out in outs}) == 1, ext
+        cores = [json.loads(Path(f"{out}.meta.json").read_text())["blas_cores"] for out in outs]
+        if platform.machine() in ("x86_64", "AMD64"):
+            assert not cores[0] or cores[1] != cores[0]  # the variable took effect
 
 
 class TestSpectrum:
@@ -338,27 +380,34 @@ class TestSpectrum:
         assert [m["workers"] for m in metas] == [1, 2]
 
 
-    # SHA-256 of the CSV on two workers, recorded when the compiled product
-    # came in with the import of scipy.sparse.
+    # SHA-256 of the CSV on two workers, by OpenBLAS core: LAPACK's dgeev
+    # rounds as the kernels of its core do. SkylakeX's were recorded when the
+    # compiled product came in with the import of scipy.sparse, the others
+    # with OPENBLAS_CORETYPE set to Haswell (Zen gives Haswell too),
+    # Sandybridge and Prescott (named Katmai).
     DIGESTS = {
-        "block_permutation": (
-            {"n": 400, "d": 8, "trials_per_point": 3},
-            "417b18b81403455c53c81a0fb7edb619d1b014baf9805c38063e262e5126ffc2",
-        ),
-        "general_regular": (
-            {"n": 200, "d": 6, "model": "general_regular", "fix_pattern": False,
-             "trials_per_point": 3, "master_seed": 6},
-            "6127c6a2a63603a79a836c31418e683f623011b73205d1ccb56f57846e3348ab",
-        ),
+        "block_permutation": ({"n": 400, "d": 8, "trials_per_point": 3}, {
+            "SkylakeX": "417b18b81403455c53c81a0fb7edb619d1b014baf9805c38063e262e5126ffc2",
+            "Haswell": "98d7fad370ff77769fa6ec53951b4f4c1c271d243c9b99a05e3896f0fd648fa1",
+            "Sandybridge": "fd298bcc5aade15a1e2d520b548ab15a52c648dd9a734df49876ad1535bb17fd",
+            "Katmai": "c2bf9f8cf5f4a63fb8db5382f742333e299452f1b68ac2c21ba77e9649d106f9",
+        }),
+        "general_regular": ({"n": 200, "d": 6, "model": "general_regular", "fix_pattern": False,
+                             "trials_per_point": 3, "master_seed": 6}, {
+            "SkylakeX": "6127c6a2a63603a79a836c31418e683f623011b73205d1ccb56f57846e3348ab",
+            "Haswell": "941826b547cafc72a1de809aa0264a4cad820376c7f23e8b4aab88a8e8beb2b3",
+            "Sandybridge": "836528f0ff4297bab9f515f5b7b7a4f6cfe34b7921733fd7de46d3c2b7d841b5",
+            "Katmai": "e7a1f9119ad4a9907e870db0f9303866d9a97208d239aa2e235ef51775f8d756",
+        }),
     }
 
     @pytest.mark.parametrize("model", sorted(DIGESTS))
     def test_frozen_output_bytes(self, model, tmp_path):
-        config, digest = self.DIGESTS[model]
+        config, digests = self.DIGESTS[model]
         out = tmp_path / "spectrum.csv"
         assert main(["spectrum", "--config", write_config(tmp_path, **config), "--kappa", "8",
                      "--threads", "2", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert_core_digest(out, digests)
 
 
 class TestGap:
@@ -390,22 +439,32 @@ class TestGap:
             f"{t},{g!r}\n" for t, g in enumerate(gaps))
         assert meta["min_over_trials"] == min(gaps)
 
-    # SHA-256 of the CSV, recorded when the singular gap expanded a scipy
-    # CSR matrix with toarray().
+    # SHA-256 of the CSV, by OpenBLAS core: LAPACK's SVD rounds as the
+    # kernels of its core do. SkylakeX's were recorded when the singular gap
+    # expanded a scipy CSR matrix with toarray(), the others as the
+    # spectrum's were; Sandybridge and Katmai agree here.
     DIGESTS = {
-        "general_regular":
-            ("30", "fec51aeb5506df0461f941217f2cafd7f8e7092675b985bf82797d964b57348a"),
-        "block_permutation":
-            ("32", "8f6c5c1f17656b844268c413e810b339f29ab1548eef2469e63b6613e3ab731e"),
+        "general_regular": ("30", {
+            "SkylakeX": "fec51aeb5506df0461f941217f2cafd7f8e7092675b985bf82797d964b57348a",
+            "Haswell": "275ec68306c4b2fc04108fefc264697e6cb2272af09b1ceed168e2996ff4748e",
+            "Sandybridge": "c1f4f20a7bd45b9c69c4e23cfed30bc3b971e5abb28c4e3300724e90be3f5198",
+            "Katmai": "c1f4f20a7bd45b9c69c4e23cfed30bc3b971e5abb28c4e3300724e90be3f5198",
+        }),
+        "block_permutation": ("32", {
+            "SkylakeX": "8f6c5c1f17656b844268c413e810b339f29ab1548eef2469e63b6613e3ab731e",
+            "Haswell": "c8768c51a6747d4ecd315690c331161f120321dba0fec34a4ce202e28d4e901a",
+            "Sandybridge": "3cdf460c63b94780f65bc48b47edb0f699c1a039b1f91e9d857a119ba398184c",
+            "Katmai": "3cdf460c63b94780f65bc48b47edb0f699c1a039b1f91e9d857a119ba398184c",
+        }),
     }
 
     @pytest.mark.parametrize("model", sorted(DIGESTS))
     def test_frozen_output_bytes(self, model, tmp_path):
-        n, digest = self.DIGESTS[model]
+        n, digests = self.DIGESTS[model]
         out = tmp_path / "gap.csv"
         assert main(["gap", "--n", n, "--d", "4", "--trials", "5", "--seed", "2",
                      "--model", model, "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert_core_digest(out, digests)
 
     def test_one_species_is_invalid(self, capsys):
         assert main(["gap", "--n", "1", "--d", "1", "--trials", "3"]) == EXIT_INVALID_CONFIG
@@ -460,6 +519,10 @@ def test_sidecar_provenance(case, tmp_path):
     assert isinstance(threads, dict)
     assert all(isinstance(v, int) and v >= 1 for v in threads.values())
     assert set(threads.values()) <= {1}
+    cores = meta["blas_cores"]  # the same libraries, by the core their kernels are for
+    assert cores == {name: core for name, (_, _, core) in experiments._openblas().items()}
+    assert set(cores) == set(threads)
+    assert all(isinstance(v, str) and v for v in cores.values())
 
 
 class TestExitCodes:

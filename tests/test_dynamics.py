@@ -166,8 +166,8 @@ class TestDormandPrince:
     )
     def test_matches_solve_ivp(self, data, model, n, kappa, t_end, sample_count, seed):
         # Equal success flags and samples within the integration tolerance.
-        # The arithmetic is scipy's, so on a given scipy the samples are
-        # usually bit-identical; the test does not rely on that.
+        # The method is scipy's, but the stepper sums in its own numpy order
+        # and scipy's in BLAS, so the samples differ in the last bits.
         from scipy.integrate import solve_ivp
 
         if model == "block_permutation":
@@ -587,8 +587,7 @@ class TestFootprint:
         chunks = list(dynamics._row_chunks(n))
         assert chunks[0][0] == 0 and chunks[-1][1] == n
         assert all(b == c for (_, b), (c, _) in zip(chunks, chunks[1:]))
-        assert all(b - a >= min(n, 2) for a, b in chunks)
-        assert all(b - a <= dynamics._CHUNK_ROWS + 1 for a, b in chunks)
+        assert all(0 < b - a <= dynamics._CHUNK_ROWS for a, b in chunks)
 
     @pytest.mark.parametrize("M", [
         assemble(block_permutation_pattern(40, 8, np.random.default_rng(4).permutation(40)),
@@ -792,6 +791,13 @@ class TestConvergenceRate:
         )
         # floor raised to the integrator noise level for default tolerances
         assert convergence_rate(tr, floor=1e-7) is None
+
+    @pytest.mark.parametrize("floor", [0.0, None])
+    def test_sentinel_when_exactly_at_the_reference(self, floor):
+        # Every distance is 0, so no log can be fitted, even at floor 0.
+        tr = integrate_lv(zero_matrix(2), np.ones(2), 5.0, reference=np.ones(2))
+        assert not tr.distance_series.any()
+        assert convergence_rate(tr, floor=floor) is None
 
     def test_missing_inputs(self):
         tr = integrate_lv(zero_matrix(2), np.full(2, 0.5), 1.0)

@@ -443,10 +443,10 @@ def caller_threads():
     if not libs:
         pytest.skip("no OpenBLAS loaded")
     saved = experiments.blas_threads()
-    for _, set_ in libs.values():
+    for _, set_, _ in libs.values():
         set_(3)
     yield {name: 3 for name in libs}
-    for name, (_, set_) in libs.items():
+    for name, (_, set_, _) in libs.items():
         set_(saved[name])
 
 
@@ -462,6 +462,7 @@ class TestRunTrials:
         assert isinstance(wall_time, float) and wall_time >= 0.0
         assert record == {
             "config": self.CFG.echo(), "workers": workers, "blas_threads": ones,
+            "blas_cores": {name: core for name, (_, _, core) in experiments._openblas().items()},
             "python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__, "version": sparselv.__version__,
         }
@@ -528,7 +529,7 @@ def probe(task):
 if __name__ == "__main__":
     multiprocessing.set_start_method("spawn", force=True)
     libs = experiments._openblas()
-    for _, set_ in libs.values():
+    for _, set_, _ in libs.values():
         set_(3)
     cfg = experiments.SweepConfig(n=4, d=2)
     results, _ = experiments.run_trials(cfg, range(4), probe, workers=2)
