@@ -2,9 +2,12 @@
 
 Every trial seed is a pure function of (master_seed, kappa index, trial
 index), so runs are fully deterministic given the config, independent of
-worker count and scheduling.  Aggregation reduces per-trial records in
-sorted (kappa, trial) order, which makes floating-point sums reproducible
-across 1 and W workers.
+worker count and scheduling.  ``trial_seed`` and ``pattern_seed`` define
+the seeds through ``numpy.random.SeedSequence``; a run does not call them,
+but computes all of its seeds at once in ``_init``, with ``_seed_table``,
+numpy's hash on arrays, to the same bits.  Aggregation reduces per-trial
+records in sorted (kappa, trial) order, which makes floating-point sums
+reproducible across 1 and W workers.
 
 Every driver runs its trials through one engine,
 ``run_trials(cfg, tasks, trial_fn, workers=1)``.  It calls the
@@ -13,12 +16,14 @@ module-level ``trial_fn(task)`` once per task, in-process when
 (which keeps the trials' memory out of the caller, even for one task), and
 returns the results in task order.  Tasks go to the pool in chunks of up
 to 8, small enough that every worker gets some.  Before the first trial
-each worker stores ``cfg`` and the fixed pattern (built once, if
-``cfg.fix_pattern``) in ``_CTX``; other constants, such as the histogram's
-bin edges, are bound to ``trial_fn`` with ``functools.partial``.
-``_pattern(task)`` returns that cached pattern, or else trial
-``task = (kappa_index, trial)``'s own, and ``_matrix(task)`` draws on it
-the seeded matrix at the alpha of ``cfg.kappa_grid[kappa_index]``; the
+each worker stores ``cfg``, the fixed pattern (built once, if
+``cfg.fix_pattern``) and the run's seed tables in ``_CTX``; other
+constants, such as the histogram's bin edges, are bound to ``trial_fn``
+with ``functools.partial``.  ``_pattern(task)`` returns that cached
+pattern, or else trial ``task = (kappa_index, trial)``'s own, and
+``_matrix(task)`` draws on it the seeded matrix at the alpha of
+``cfg.kappa_grid[kappa_index]``, each reading its seed from the tables,
+so a task's trial must lie in ``range(cfg.trials_per_point)``; the
 single-kappa drivers run on the grid ``[kappa]``, which their sidecars
 echo.  ``pattern`` runs ``_pattern``, and ``solve`` a trial that draws with
 ``_matrix`` and solves, as the one task ``(0, 0)``; the dynamics trace is
@@ -227,16 +232,78 @@ def build_pattern(cfg: SweepConfig, seed: int) -> AdjacencyPattern:
 _CTX: dict = {}
 
 
+_MASK32 = 0xFFFFFFFF
+
+
+def _hasher(const: int, mult: int):
+    """numpy's ``SeedSequence`` hashmix on uint32 arrays: each call xors in
+    the running constant, steps it by ``mult`` and multiplies by it."""
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value *= np.uint32(const)
+        return value ^ value >> 16
+    return hashmix
+
+
+def _seed_table(*entropy) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(1, np.uint64)[0]`` for every
+    element of the broadcast ``entropy``, in one numpy pass.  An entry is a
+    non-negative int, which enters as its 32-bit words, low first, or an
+    integer array of values below 2**32, one word each.  This is numpy's
+    hash with each word an array: a pool of 4 words (zeros where the
+    entropy is shorter), words past the pool mixed in after it, and two
+    output words joined low first.  ``tests/test_experiments.py`` checks it
+    against ``trial_seed`` and ``pattern_seed``."""
+    words = []
+    for e in entropy:
+        if isinstance(e, np.ndarray):
+            words.append(e.astype(np.uint32))
+        else:
+            e = int(e)
+            words += [np.uint32(e >> s & _MASK32) for s in range(0, max(e.bit_length(), 1), 32)]
+    # At least 1-d: uint32 arithmetic on numpy scalars warns when it wraps.
+    shape = np.broadcast_shapes(*map(np.shape, words), (1,))
+    words = [np.broadcast_to(w, shape) for w in words + [np.uint32(0)] * (4 - len(words))]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        value = np.uint32(0xCA01F9DD) * x - np.uint32(0x4973F715) * y
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    output = _hasher(0x8B51F9DD, 0x58F38DED)
+    low, high = (output(value).astype(np.uint64) for value in pool[:2])
+    return low | high << np.uint64(32)
+
+
 def _init(cfg: SweepConfig) -> None:
-    fixed = build_pattern(cfg, pattern_seed(cfg.master_seed)) if cfg.fix_pattern else None
-    _CTX.update(cfg=cfg, pattern=fixed)
+    """Store ``cfg``, the fixed pattern (if ``cfg.fix_pattern``) and the
+    run's seed tables in ``_CTX``: ``seeds[kappa_index, trial]`` is
+    ``trial_seed(cfg.master_seed, kappa_index, trial)`` and
+    ``pattern_seeds[trial]`` is ``pattern_seed(cfg.master_seed, trial)``,
+    for every trial in ``range(cfg.trials_per_point)``.  Both come from one
+    ``_seed_table`` pass, the pattern seeds its last row."""
+    rows = np.append(np.arange(len(cfg.kappa_grid)), 0x5EED)
+    seeds = _seed_table(cfg.master_seed, rows[:, None], np.arange(cfg.trials_per_point))
+    fixed = None
+    if cfg.fix_pattern:
+        fixed = build_pattern(cfg, int(_seed_table(cfg.master_seed, 0x5EED)[0]))
+    _CTX.update(cfg=cfg, pattern=fixed, seeds=seeds[:-1], pattern_seeds=seeds[-1])
 
 
 def _pattern(task: tuple[int, int]) -> AdjacencyPattern:
     """The cached fixed pattern, or the own pattern of trial ``task[1]``."""
-    cfg: SweepConfig = _CTX["cfg"]
-    fixed = _CTX["pattern"]
-    return build_pattern(cfg, pattern_seed(cfg.master_seed, task[1])) if fixed is None else fixed
+    fixed, seeds = _CTX["pattern"], _CTX["pattern_seeds"]
+    return build_pattern(_CTX["cfg"], int(seeds[task[1]])) if fixed is None else fixed
 
 
 def _matrix(task: tuple[int, int]) -> InteractionMatrix:
@@ -245,7 +312,7 @@ def _matrix(task: tuple[int, int]) -> InteractionMatrix:
     kappa_index, trial = task
     cfg: SweepConfig = _CTX["cfg"]
     alpha = cfg.alpha(cfg.kappa_grid[kappa_index])
-    return assemble(_pattern(task), alpha, trial_seed(cfg.master_seed, kappa_index, trial))
+    return assemble(_pattern(task), alpha, int(_CTX["seeds"][kappa_index, trial]))
 
 
 # A scipy wheel bundles its OpenBLAS here; other builds have no such directory.

@@ -41,6 +41,7 @@ import functools
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
@@ -190,6 +191,10 @@ class SpectralReport:
     norm_bound_holds: bool
 
 
+# One Generator(Philox) per thread, rekeyed by every assemble call.
+_THREAD = threading.local()
+
+
 def assemble(p: AdjacencyPattern, alpha: float, seed: int) -> InteractionMatrix:
     """Draw one standard-Gaussian weight per pattern position.
 
@@ -197,8 +202,25 @@ def assemble(p: AdjacencyPattern, alpha: float, seed: int) -> InteractionMatrix:
     canonical row-major position order, so the draw is independent of
     iteration order and thread scheduling, and identical (bitwise) across
     repeated calls with the same arguments.
+
+    Each thread keeps one ``Generator(Philox)`` and rekeys it per call:
+    counter 0, key ``[seed mod 2**64, seed >> 64]`` and an empty buffer, the
+    state that ``Philox(key=seed)`` starts from, set through
+    ``bit_generator.state``.  Building ``Philox(key=seed)`` instead would
+    first draw OS entropy that the key then replaces.  Seeds outside
+    [0, 2**128) are refused, as Philox refuses such keys.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    if not 0 <= seed < 2**128:
+        raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox(0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64),
+                  "key": np.array([seed & 2**64 - 1, seed >> 64], np.uint64)},
+        "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
     weights = rng.standard_normal(p.n * p.d).reshape(p.n, p.d)
     return InteractionMatrix(pattern=p, weights=weights, alpha=alpha, seed=seed)
 

@@ -203,10 +203,16 @@ def _permutation_layers(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     switches the one in the even slot.  With d <= n / 2 every repeat has at
     least n - 2d + 3 valid partners, so the loop ends with probability one.
 
-    Repeats are found once, on the flat array of keys sorted within rows.
-    A round reaches the rows that still have repeats through the inverse of
-    its matching, not by passing over all pairs.  The sorted keys already
-    hold the sorted rows; only the rows a swap touched are sorted again.
+    Layer k is column k of an (n, d) array of keys v << s | k, shuffled
+    in place: ``rng.shuffle`` makes the same draws on a strided column as on
+    a row of n, so the layers are those of ``rng.permuted(layers, axis=1)``
+    on d rows of ``range(n)``, with no tiled copy to transpose.  The keys
+    are int64, for numpy's fast shuffle of pointer-sized items.  Repeats
+    are found once, on the flat array of keys sorted within rows (by value,
+    then by layer).  A round reaches the rows that still have repeats
+    through the inverse of its matching, not by passing over all pairs.
+    The sorted keys already hold the sorted rows; only the rows a swap
+    touched are sorted again.
 
     How often value v occurs in row r is read off an n x n table of counts
     at dense degree, n <= _TABLE_RATIO * d, and found by scanning the row's
@@ -217,17 +223,11 @@ def _permutation_layers(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     fraction of n.  The rule also caps the table at _TABLE_RATIO cells per
     entry of the pattern.
     """
-    # The same draws as rng.permuted(layers, axis=1), without its copy.
-    # Shuffling int64 rows is faster than int32 ones (numpy's fast path is
-    # for pointer-sized items); the transposing copy narrows to int32.
-    layers = np.tile(np.arange(n), (d, 1))
-    for layer in layers:
-        rng.shuffle(layer)
-    cols = layers.T.astype(np.int32, order="C")
-    # Keys value << s | layer, sorted within rows: by value, then by layer.
     s = (d - 1).bit_length()
-    keys = np.left_shift(cols, s, dtype=np.int32 if n << s < 2**31 else np.int64)
-    keys |= np.arange(d, dtype=keys.dtype)
+    keys = (np.arange(n) << s)[:, None] | np.arange(d)
+    for k in range(d):
+        rng.shuffle(keys[:, k])
+    cols = (keys >> s).astype(np.int32)  # the repair's row scans read half the bytes
     keys.sort(axis=1)
     keys = keys.reshape(-1)
     vals = keys >> s
@@ -236,7 +236,7 @@ def _permutation_layers(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     at = at[at % d != 0]
     rows = at // d
     # Row i's stack is stack[first[i]:first[i] + top[i]].
-    stack = (keys[at] & ((1 << s) - 1)).astype(np.intp)
+    stack = keys[at] & ((1 << s) - 1)
     top = np.bincount(rows, minlength=n)
     first = np.cumsum(top) - top
     if n <= _TABLE_RATIO * d:
@@ -275,7 +275,7 @@ def _permutation_layers(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
             counts[np.r_[i, j], np.r_[c, v]] -= 1
             counts[np.r_[i, j], np.r_[v, c]] += 1
         live = live[top[live] > 0]
-    out = vals.reshape(n, d).astype(np.int64)
+    out = vals.reshape(n, d)
     redo = np.flatnonzero(touched)
     out[redo] = np.sort(cols[redo], axis=1)
     return out

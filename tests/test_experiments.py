@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 import sparselv
 from sparselv import (
@@ -147,6 +147,49 @@ class TestSeeds:
     def test_pattern_seed_separate_stream(self):
         assert pattern_seed(0) != trial_seed(0, 0, 0)
         assert pattern_seed(0, 3) != pattern_seed(0, 4)
+
+    # Bit-for-bit guard of the seed tables: a numpy release that changes
+    # SeedSequence's hash fails here.  Masters below 2**32 are one entropy
+    # word, those below 2**64 two, and larger ones fill the pool and run past it.
+    @settings(max_examples=150, deadline=None)
+    @given(master=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64 - 1),
+                            st.integers(2**64, 2**200)),
+           kappa_indices=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+           trials=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    def test_seed_table_matches_seed_sequence(self, master, kappa_indices, trials):
+        table = experiments._seed_table(master, np.array(kappa_indices)[:, None], np.array(trials))
+        assert table.tolist() == [[trial_seed(master, k, t) for t in trials] for k in kappa_indices]
+        patterns = experiments._seed_table(master, 0x5EED, np.array(trials))
+        assert patterns.tolist() == [pattern_seed(master, t) for t in trials]
+        assert experiments._seed_table(master, 0x5EED).tolist() == [pattern_seed(master)]
+
+    @pytest.mark.parametrize("fix_pattern", [True, False])
+    def test_init_tables_every_seed_of_the_run(self, fix_pattern):
+        cfg = SweepConfig(n=60, d=6, kappa_grid=[1.0, 2.0, 4.0], trials_per_point=5,
+                          master_seed=2**40 + 3, fix_pattern=fix_pattern)
+        experiments._init(cfg)
+        ctx = experiments._CTX
+        assert ctx["seeds"].tolist() == [[trial_seed(cfg.master_seed, k, t) for t in range(5)]
+                                         for k in range(3)]
+        assert ctx["pattern_seeds"].tolist() == [pattern_seed(cfg.master_seed, t) for t in range(5)]
+        if fix_pattern:
+            assert ctx["pattern"] == build_pattern(cfg, pattern_seed(cfg.master_seed))
+
+    def test_sweep_and_histogram_hash_no_seed_per_trial(self, monkeypatch):
+        cfg = SweepConfig(n=60, d=6, kappa_grid=[2.0, 4.0], trials_per_point=3, master_seed=7)
+        per_trial = replace(cfg, model="general_regular", fix_pattern=False)
+        sweep = run_feasibility_sweep(cfg).rows
+        hist = run_abundance_histogram(per_trial, kappa=8.0)
+
+        def refuse(*args):
+            raise AssertionError("a trial hashed its seed with SeedSequence")
+
+        monkeypatch.setattr(experiments, "trial_seed", refuse)
+        monkeypatch.setattr(experiments, "pattern_seed", refuse)
+        assert repr(run_feasibility_sweep(cfg).rows) == repr(sweep)
+        again = run_abundance_histogram(per_trial, kappa=8.0)
+        assert again.counts.tobytes() == hist.counts.tobytes()
+        assert repr((again.mean, again.variance)) == repr((hist.mean, hist.variance))
 
 
 class TestBuildPattern:

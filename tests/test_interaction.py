@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -66,6 +67,71 @@ class TestAssemble:
             assemble(M.pattern, alpha=alpha, seed=0)
         with pytest.raises(ValueError, match="alpha must be positive and finite"):
             M.with_alpha(alpha)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_a_philox_key_is_refused(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*128\)"):
+            assemble(full_pattern(2), alpha=1.0, seed=seed)
+
+
+# Bit-for-bit guard of the rekeyed generator: a numpy release that changes
+# Philox's state layout, or what Philox(key=...) starts from, fails here.
+@settings(max_examples=150, deadline=None)
+@given(seed=st.one_of(st.integers(0, 2**64 - 1), st.integers(2**64, 2**128 - 1)),
+       before=st.integers(1, 40), words32=st.integers(0, 3), n=st.integers(1, 40))
+def test_rekeyed_draw_matches_a_fresh_philox(seed, before, words32, n):
+    # A draw of another length first leaves the thread's generator part way
+    # through its buffer, and 32-bit draws leave a half-used word.
+    assemble(full_pattern(before), alpha=1.0, seed=seed ^ 1)
+    interaction._THREAD.rng.integers(0, 2**32, words32, dtype=np.uint32)
+    M = assemble(block_permutation_pattern(n, 1, np.arange(n)), alpha=1.0, seed=seed)
+    fresh = np.random.Generator(np.random.Philox(key=seed)).standard_normal(n)
+    assert M.weights.reshape(-1).tobytes() == fresh.tobytes()
+
+
+def _draws_in_threads(work, threads):
+    """Run ``work(i)`` on ``threads`` threads, with the interpreter switching
+    threads every microsecond, so that their draws interleave."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pool = [threading.Thread(target=work, args=(i,)) for i in range(threads)]
+        for t in pool:
+            t.start()
+        for t in pool:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in pool)
+
+
+def test_threads_assembling_interleaved_draw_the_serial_bits():
+    # numpy draws without the interpreter lock, so a draw of 32 000 normals
+    # gives the other threads time to rekey a generator that they shared.
+    p = block_permutation_pattern(125, 16, np.arange(125))
+    seeds = range(40)
+    serial = {seed: assemble(p, alpha=2.0, seed=seed).weights.tobytes() for seed in seeds}
+    threaded = {}
+
+    def work(i):
+        for seed in seeds[i::4]:
+            threaded[seed] = assemble(p, alpha=2.0, seed=seed).weights.tobytes()
+
+    _draws_in_threads(work, 4)
+    assert threaded == serial
+
+
+def test_assemble_builds_one_philox_per_thread(monkeypatch):
+    made, philox = [], np.random.Philox
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    p = block_permutation_pattern(10, 4, np.arange(10))
+    _draws_in_threads(lambda i: [assemble(p, alpha=2.0, seed=seed) for seed in range(50)], 2)
+    assert len(made) == 2
 
 
 class TestMatvec:
