@@ -346,12 +346,12 @@ def jacobian_spectrum(M: InteractionMatrix, x: np.ndarray) -> SpectrumReport:
     (``AdjacencyPattern.strong_components``), the Jacobian is block
     triangular, so its spectrum is the union of the spectra of the diagonal
     blocks x_I (M_II - I).  Each block is filled from ``row_cols`` and the
-    weights in Fortran order, a repeated column adding its weights, scaled
-    in place and handed to LAPACK's ``dgeev`` to overwrite, so a block costs
-    one dense copy of itself.  ``eigenvalues`` lists the blocks' eigenvalues
-    block by block.  The split reads the pattern, not the weights.  A
-    block-permutation pattern has one block per cycle of sigma; a random
-    general d-regular pattern with d >= 2 is almost always one block.
+    weights in Fortran order, scaled in place and handed to LAPACK's
+    ``dgeev`` to overwrite, so a block costs one dense copy of itself.
+    ``eigenvalues`` lists the blocks' eigenvalues block by block.  The split
+    reads the pattern, not the weights.  A block-permutation pattern has one
+    block per cycle of sigma; a random general d-regular pattern with
+    d >= 2 is almost always one block.
 
     ``localization_error`` is max over eigenvalues of min_k |lambda + x_k|:
     how far the spectrum strays from -diag(x).  ``dgeev`` comes from scipy's

@@ -16,11 +16,11 @@ module-level ``trial_fn(task)`` once per task, in-process when
 (which keeps the trials' memory out of the caller, even for one task), and
 returns the results in task order.  Tasks go to the pool in chunks of up
 to 8, small enough that every worker gets some.  Before the first trial
-each worker stores ``cfg``, the fixed pattern (built once, if
-``cfg.fix_pattern``) and the run's seed tables in ``_CTX``; other
-constants, such as the histogram's bin edges, are bound to ``trial_fn``
-with ``functools.partial``.  ``_pattern(task)`` returns that cached
-pattern, or else trial ``task = (kappa_index, trial)``'s own, and
+the caller stores ``cfg``, the fixed pattern (if ``cfg.fix_pattern``) and
+the run's seed tables in ``_CTX``, emptied when the call returns or
+raises; other constants, such as the histogram's bin edges, are bound to
+``trial_fn`` with ``functools.partial``.  ``_pattern(task)`` returns that
+cached pattern, or else trial ``task = (kappa_index, trial)``'s own, and
 ``_matrix(task)`` draws on it the seeded matrix at the alpha of
 ``cfg.kappa_grid[kappa_index]``, each reading its seed from the tables,
 so a task's trial must lie in ``range(cfg.trials_per_point)``; the
@@ -32,7 +32,7 @@ a one-task call too.  No subcommand builds, draws or solves outside a trial.
 ``run_trials`` pins the bundled OpenBLAS libraries to one thread for its
 whole body (see ``one_blas_thread``), so every trial, and every eigensolve
 in it, runs on one BLAS thread whatever the worker count.  The pin is set
-in the calling process before the pool forks, and the workers inherit it.
+in the caller before the pool forks, and the workers inherit it with ``_CTX``.
 That holds only under the ``fork`` start method, so the pool asks for it
 explicitly rather than taking the default (``forkserver`` on Linux from
 Python 3.14).  The pin first loads scipy's bundled OpenBLAS, which only
@@ -227,8 +227,7 @@ def build_pattern(cfg: SweepConfig, seed: int) -> AdjacencyPattern:
 # Trial engine
 # ---------------------------------------------------------------------------
 
-# Worker-process state: the fixed pattern is rebuilt per worker from the
-# seed instead of being pickled per task.
+# The running call's set-up, built by _init in the caller; forked workers inherit it.
 _CTX: dict = {}
 
 
@@ -376,28 +375,29 @@ def one_blas_thread():
 
 def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1):
     """``[trial_fn(task) for task in tasks]``, in-process or in a pool of
-    at most ``workers`` processes, on one BLAS thread, and the run's sidecar
-    record; see the module docstring.  Constants other than ``cfg`` are bound
-    to ``trial_fn``.  Raises ValueError for ``workers < 1``."""
+    at most ``workers`` processes, on one BLAS thread after one set-up in
+    the caller, and the run's sidecar record; see the module docstring.
+    Raises ValueError for ``workers < 1``."""
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     t0 = time.time()
-    with one_blas_thread() as blas:
-        if workers == 1:
-            _init(cfg)
-            results = [trial_fn(t) for t in tasks]
-        else:
-            # numpy loads numpy.random (11 extension modules) on first use, and
-            # every worker's seeds and draws use it: load it once, before the fork.
-            import numpy.random  # noqa: F401
-            # A fork pool starts all its workers at the first submit, however few the tasks.
-            workers = max(1, min(workers, len(tasks)))
-            chunk = max(1, min(8, len(tasks) // (2 * workers)))
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_init, initargs=(cfg,),
-            ) as pool:
-                results = list(pool.map(trial_fn, tasks, chunksize=chunk))
+    try:
+        _init(cfg)
+        with one_blas_thread() as blas:
+            if workers == 1:
+                results = [trial_fn(t) for t in tasks]
+            else:
+                # numpy loads numpy.random (11 extension modules) on first use, and
+                # every worker's draws use it: load it once, before the fork.
+                import numpy.random  # noqa: F401
+                # A fork pool starts all its workers at the first submit, however few the tasks.
+                workers = max(1, min(workers, len(tasks)))
+                chunk = max(1, min(8, len(tasks) // (2 * workers)))
+                fork = multiprocessing.get_context("fork")
+                with ProcessPoolExecutor(max_workers=workers, mp_context=fork) as pool:
+                    results = list(pool.map(trial_fn, tasks, chunksize=chunk))
+    finally:
+        _CTX.clear()
     return results, {
         "config": cfg.echo(), "workers": workers, **blas,
         "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,

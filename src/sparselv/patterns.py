@@ -45,37 +45,49 @@ MODELS = tuple(m.value for m in PatternModel)
 class AdjacencyPattern:
     """Sparsity mask of a directed d-regular graph on n vertices.
 
-    ``row_cols[i]`` holds the d column indices of row i, sorted ascending,
-    so the position set is canonical (row-major) and two patterns are equal
-    iff their ``row_cols`` arrays are equal.  ``row_cols`` is a read-only
-    view; the array passed in stays writable.
+    ``row_cols[i]`` holds the d columns of row i, strictly increasing, so
+    the position set is canonical (row-major) and two patterns are equal
+    iff their ``row_cols`` arrays are equal.  It is a read-only view, int32
+    while n * d < 2^31, else int64; one passed in that type stays writable.
 
     ``block_index`` is ``(b, indptr, indices)``: the mask as a BSR of b x b
     blocks, built on first use and then shared, read-only, by every matrix
     on the pattern, so a trial on a fixed pattern copies no index.  b = d
     when d >= 2, d divides n and every row of block row k holds exactly
     c_k * d + 0..d-1 (the block-permutation and full patterns); otherwise
-    b = 1, and the arrays are the mask's CSR.  They are int32 where
-    n * d < 2^31, else int64.  n or d below 1, and a column outside [0, n),
-    are refused: neither the compiled product nor the dense fill checks
-    its indices.
+    b = 1, the mask's CSR, whose ``indices`` are ``row_cols`` itself.  n or
+    d below 1, and columns that are not integers, not increasing along a
+    row or outside [0, n), are refused before the cast could wrap one into
+    range: neither the compiled product nor the dense fill checks them.
     """
 
     n: int
     d: int
     model: PatternModel
-    row_cols: np.ndarray  # shape (n, d), int64, sorted within each row
+    row_cols: np.ndarray  # shape (n, d), int32 or int64, increasing within each row
     seed: int | None = None
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
             raise ValueError(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
-        rc = np.asarray(self.row_cols, dtype=np.int64)
+        rc = np.asarray(self.row_cols)
         if rc.shape != (self.n, self.d):
             raise ValueError(f"row_cols shape {rc.shape} != ({self.n}, {self.d})")
-        if rc.size and (rc.min() < 0 or rc.max() >= self.n):
+        if not np.issubdtype(rc.dtype, np.integer):
+            raise ValueError(f"row_cols must hold integers, got {rc.dtype}")
+        # Compared, not subtracted: a difference of unsigned columns wraps.
+        # One pass over the raveled rows; the pairs that straddle two rows pass.
+        flat = rc.reshape(-1)
+        increasing = flat[1:] > flat[:-1]
+        increasing[self.d - 1::self.d] = True
+        if not increasing.all():
+            raise ValueError("row_cols repeats a column or is unsorted within a row")
+        # Each row increases, so its first and last columns bound the rest.
+        if rc[:, 0].min() < 0 or rc[:, -1].max() >= self.n:
             raise ValueError(f"row_cols has a column outside [0, {self.n})")
+        # The kernel computes each block's offset b^2 * jj in the index type.
+        rc = rc.astype(np.int32 if self.n * self.d < 2**31 else np.int64, copy=False)
         if rc.flags.writeable:  # freeze a view, not the caller's array
             rc = rc.view()
             rc.setflags(write=False)
@@ -85,18 +97,15 @@ class AdjacencyPattern:
     def block_index(self) -> tuple[int, np.ndarray, np.ndarray]:
         # From row_cols, not the model: a full pattern is one block.  It
         # first runs inside a trial, so on a general pattern the block test
-        # stops after one modulo.  The kernel computes each block's offset b^2 * jj
-        # in the index type, hence int32 only while n * d < 2^31.
+        # stops after one modulo.  Both arrays take row_cols' index type.
         n, d = self.n, self.d
-        b, cols = 1, self.row_cols.reshape(-1)
+        b, indices = 1, self.row_cols.reshape(-1)
         if d >= 2 and n % d == 0:
             blocks = self.row_cols.reshape(n // d, d, d)
             starts = blocks[:, 0, 0]
             if not (starts % d).any() and (blocks == starts[:, None, None] + np.arange(d)).all():
-                b, cols = d, starts // d
-        index = np.int32 if n * d < 2**31 else np.int64
-        indptr = np.arange(0, cols.size + 1, d // b, dtype=index)
-        indices = cols.astype(index, copy=False)
+                b, indices = d, starts // d
+        indptr = np.arange(0, indices.size + 1, d // b, dtype=indices.dtype)
         for a in (indptr, indices):
             a.setflags(write=False)
         return b, indptr, indices

@@ -58,9 +58,9 @@ def ones_full(n, alpha=1.0):
 def split_cases(draw, max_n=60):
     """``(pattern, balanced)``: a block pattern (identity sigma and m = 1
     included), a general d-regular one (d = 1 and the complement branch
-    d > n / 2 included), or a hand-built unbalanced one, whose random rows
-    may repeat a column and, kept on or above the diagonal, split it into
-    many components."""
+    d > n / 2 included), or a hand-built unbalanced one: d <= n distinct
+    random columns per row, sorted, which, kept on or above the diagonal
+    where d allows, split it into many components."""
     kind = draw(st.sampled_from(["block", "general", "unbalanced"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "block":
@@ -71,12 +71,12 @@ def split_cases(draw, max_n=60):
     if kind == "general":
         d = draw(st.one_of(st.just(1), st.integers(n // 2 + 1, n), st.integers(1, n)))
         return general_regular_pattern(n, d, rng_seed=int(rng.integers(2**32))), True
-    row_cols = rng.integers(0, n, (n, draw(st.integers(1, 4))))
-    if draw(st.booleans()):
-        row_cols = np.maximum(row_cols, np.arange(n)[:, None])
-    pattern = AdjacencyPattern(n, row_cols.shape[1], PatternModel.GENERAL_REGULAR,
-                               np.sort(row_cols, axis=1))
-    return pattern, False
+    d = draw(st.integers(1, min(4, n)))
+    keys = rng.random((n, n))  # each row's d smallest keys pick its columns
+    if draw(st.booleans()):  # columns left of min(i, n - d) never make row i's cut
+        keys += np.arange(n) < np.minimum(np.arange(n), n - d)[:, None]
+    row_cols = np.sort(np.argsort(keys, axis=1)[:, :d], axis=1)
+    return AdjacencyPattern(n, d, PatternModel.GENERAL_REGULAR, row_cols), False
 
 
 @st.composite

@@ -351,16 +351,20 @@ class TestJacobianSplit:
         assert rep.components == 2
 
     def test_pattern_with_a_repeated_column(self):
-        # Row 16 holds column 7 twice. csgraph's strong connected_components
-        # reads the CSR of this pattern as 15 components, and blocks split
-        # by those labels have spectra 0.43 away from the Jacobian's.
+        # Row 16 held column 7 twice. csgraph's strong connected_components
+        # read the CSR of this pattern as 15 components, and blocks split
+        # by those labels had spectra 0.43 away from the Jacobian's.  Such a
+        # pattern is refused; with row 16 holding 7 once, the split holds.
         row_cols = [[14, 18], [0, 2], [15, 18], [4, 5], [8, 16], [5, 15], [4, 7], [10, 12],
                     [0, 1], [14, 16], [10, 15], [6, 15], [8, 14], [2, 5], [2, 8], [2, 18],
                     [7, 7], [3, 17], [4, 9]]
+        with pytest.raises(ValueError, match="repeats a column"):
+            AdjacencyPattern(19, 2, PatternModel.GENERAL_REGULAR, np.array(row_cols))
+        row_cols[16] = [7, 11]
         pattern = AdjacencyPattern(19, 2, PatternModel.GENERAL_REGULAR, np.array(row_cols))
         M = forced(pattern, np.random.default_rng(1).standard_normal((19, 2)), alpha=2.0)
         rep = self.check(M, np.random.default_rng(2).uniform(0.5, 2.0, 19))
-        assert rep.components == _scc_count(pattern) == 7
+        assert rep.components == _scc_count(pattern) == 5
 
     def test_identity_sigma_one_block_per_row_block(self):
         M = assemble(block_permutation_pattern(5, 3, np.arange(5)), alpha=2.0, seed=1)
@@ -389,7 +393,7 @@ class TestJacobianBlocks:
     @given(split_cases(), st.integers(0, 2**32 - 1))
     def test_blocks_are_the_dense_jacobians(self, case, seed):
         # Block k is the dense Jacobian's on component k's members, in
-        # ascending order; a repeated column adds its weights, as dense() does.
+        # ascending order.
         pattern, _ = case
         M = assemble(pattern, alpha=2.0, seed=seed)
         x = np.random.default_rng(seed).uniform(0.5, 2.0, M.n)
@@ -402,15 +406,11 @@ class TestJacobianBlocks:
             assert block.flags.f_contiguous
             assert block.tobytes() == J[np.ix_(members, members)].tobytes()
 
-    def test_repeated_column_adds_its_weights(self):
-        # Row 0 holds column 1 twice: one position of weight 0.5 + 0.25.
-        pattern = AdjacencyPattern(3, 2, PatternModel.GENERAL_REGULAR,
-                                   np.array([[1, 1], [0, 2], [0, 2]]))
-        M = forced(pattern, [[0.5, 0.25], [1.0, -1.0], [2.0, 0.5]])
-        x = np.array([1.0, 2.0, 0.5])
-        rep, (block,) = _solved_blocks(M, x)
-        assert rep.components == 1 and block[0, 1] == 0.75 * M.scale
-        assert block.tobytes() == (x[:, None] * (M.dense() - np.eye(3))).tobytes()
+    def test_repeated_column_is_refused(self):
+        # Row 0 held column 1 twice, and its block one position of weight
+        # 0.5 + 0.25; such a pattern is refused before any matrix is drawn.
+        with pytest.raises(ValueError, match="repeats a column"):
+            AdjacencyPattern(3, 2, PatternModel.GENERAL_REGULAR, np.array([[1, 1], [0, 2], [0, 2]]))
 
     @settings(max_examples=40, deadline=None)
     @given(split_cases(max_n=300), st.integers(0, 2**32 - 1))

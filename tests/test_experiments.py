@@ -164,9 +164,10 @@ class TestSeeds:
         assert experiments._seed_table(master, 0x5EED).tolist() == [pattern_seed(master)]
 
     @pytest.mark.parametrize("fix_pattern", [True, False])
-    def test_init_tables_every_seed_of_the_run(self, fix_pattern):
+    def test_init_tables_every_seed_of_the_run(self, fix_pattern, monkeypatch):
         cfg = SweepConfig(n=60, d=6, kappa_grid=[1.0, 2.0, 4.0], trials_per_point=5,
                           master_seed=2**40 + 3, fix_pattern=fix_pattern)
+        monkeypatch.setattr(experiments, "_CTX", {})  # run_trials empties its own
         experiments._init(cfg)
         ctx = experiments._CTX
         assert ctx["seeds"].tolist() == [[trial_seed(cfg.master_seed, k, t) for t in range(5)]
@@ -479,6 +480,25 @@ def _raise(task):
     raise ValueError(f"trial {task} failed")
 
 
+def _fixed_pattern_size(task):
+    return experiments._pattern(task).n
+
+
+@pytest.fixture
+def forked_pids(tmp_path):
+    """The file in which every process forked during the test writes its pid."""
+    log, listening = tmp_path / "forked", [True]
+
+    def note():
+        if listening:
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+
+    os.register_at_fork(after_in_child=note)  # a hook cannot be unregistered, only muted
+    yield log
+    listening.clear()
+
+
 @pytest.fixture
 def caller_threads():
     """Every loaded OpenBLAS set to 3 threads, restored afterwards."""
@@ -537,21 +557,56 @@ class TestRunTrials:
         pids = {pid for pid, _ in results}
         assert len(pids) == 2 and os.getpid() not in pids
 
-    def test_pool_no_larger_than_its_tasks(self, tmp_path, monkeypatch):
-        # A fork pool starts every worker at once; each one runs _init.
-        started = tmp_path / "started"
-        init = experiments._init
-
-        def logged(cfg):
-            with open(started, "a") as f:
-                f.write(f"{os.getpid()}\n")
-            init(cfg)
-
-        monkeypatch.setattr(experiments, "_init", logged)
+    def test_pool_no_larger_than_its_tasks(self, forked_pids):
+        # A fork pool starts every worker at once.
         results, record = run_trials(self.CFG, range(2), _pid_and_threads, workers=4)
         assert record["workers"] == 2
-        assert len(set(started.read_text().split())) == 2
+        assert len(set(forked_pids.read_text().split())) == 2
         assert len({pid for pid, _ in results}) <= 2
+
+    def test_pooled_run_builds_its_set_up_once_in_the_caller(self, tmp_path, monkeypatch):
+        # The workers inherit _CTX through fork and build nothing.  _init
+        # makes two seed passes: the run's tables and the fixed pattern's seed.
+        # Each call builds its own, as the last one's is gone when it returns.
+        log = tmp_path / "calls"
+
+        def logged(name, fn):
+            def call(*args):
+                with open(log, "a") as f:
+                    f.write(f"{name} {os.getpid()}\n")
+                return fn(*args)
+            return call
+
+        for name in ("build_pattern", "_seed_table"):
+            monkeypatch.setattr(experiments, name, logged(name, getattr(experiments, name)))
+        cfg = SweepConfig(n=60, d=6, kappa_grid=[2.0, 4.0], trials_per_point=3)
+        for _ in range(2):
+            log.unlink(missing_ok=True)
+            result = run_feasibility_sweep(cfg, workers=2)
+            assert result.provenance["workers"] == 2
+            me = os.getpid()
+            assert sorted(log.read_text().splitlines()) == [
+                f"_seed_table {me}", f"_seed_table {me}", f"build_pattern {me}"]
+
+    def test_pooled_set_up_failure_raises_its_own_error(self, monkeypatch):
+        # The set-up is built in the caller, so its failure surfaces as
+        # itself, not as a BrokenProcessPool of workers that failed to start.
+        def failing(cfg, seed):
+            raise MemoryError("no room for the pattern")
+
+        monkeypatch.setattr(experiments, "build_pattern", failing)
+        with pytest.raises(MemoryError, match="no room for the pattern"):
+            run_feasibility_sweep(SweepConfig(n=60, d=6, trials_per_point=4), workers=2)
+        assert experiments._CTX == {}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_ctx_emptied_on_return_and_raise(self, workers):
+        # The caller keeps no run's pattern or tables after the call.
+        results, _ = run_trials(self.CFG, range(3), _fixed_pattern_size, workers)
+        assert results == [self.CFG.n] * 3 and experiments._CTX == {}
+        with pytest.raises(ValueError, match="trial 0 failed"):
+            run_trials(self.CFG, range(3), _raise, workers)
+        assert experiments._CTX == {}
 
     def test_one_task_runs_in_one_worker(self):
         # Pooled, so the trial's memory stays out of the caller.
@@ -622,25 +677,25 @@ print(json.dumps(experiments.run_feasibility_sweep(cfg).provenance["blas_threads
 """
 
 
-# Run as a script: a pooled run_trials on a fixed pattern, with each
-# worker's _init noting whether numpy.random was loaded when it started.
+# Run as a script: a pooled run_trials on per-trial patterns, whose set-up
+# builds no pattern, with each forked worker noting whether numpy.random was
+# loaded when it started.
 NUMPY_RANDOM_SCRIPT = """
-import json, sys
+import json, os, sys
 from sparselv import experiments
 
-init, loaded = experiments._init, {}
+loaded = {}
 
-def noted(cfg):
-    loaded["at_init"] = "numpy.random" in sys.modules
-    init(cfg)
+def noted():
+    loaded["at_fork"] = "numpy.random" in sys.modules
 
 def probe(task):
-    return loaded["at_init"]
+    return loaded["at_fork"]
 
 if __name__ == "__main__":
-    experiments._init = noted
+    os.register_at_fork(after_in_child=noted)
     before = "numpy.random" in sys.modules
-    cfg = experiments.SweepConfig(n=40, d=4)
+    cfg = experiments.SweepConfig(n=40, d=4, fix_pattern=False)
     results, _ = experiments.run_trials(cfg, range(3), probe, workers=2)
     print(json.dumps({"before": before, "after": "numpy.random" in sys.modules,
                       "workers": results}))

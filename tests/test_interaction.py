@@ -230,9 +230,12 @@ def test_product_matches_csr_bytes(case, wide_index):
     # others; it must give the bytes of csr @ v, from a CSR built here.
     M, v = case
     reference = _csr(M) @ v
-    if wide_index:  # the int64 index path of n * d >= 2^31, forced on a small pattern
-        b, *index = M.pattern.block_index
-        vars(M.pattern)["block_index"] = (b, *(a.astype(np.int64) for a in index))
+    assert M.pattern.row_cols.dtype == np.int32
+    if wide_index:  # the int64 row_cols of n * d >= 2^31, forced on a small pattern
+        object.__setattr__(M.pattern, "row_cols", M.pattern.row_cols.astype(np.int64))
+    b, indptr, indices = M.pattern.block_index
+    assert indptr.dtype == indices.dtype == M.pattern.row_cols.dtype
+    assert b > 1 or np.shares_memory(indices, M.pattern.row_cols)
     out = np.full(M.n, np.nan)
     assert M.unscaled_product(v, out) is out
     assert out.tobytes() == reference.tobytes()

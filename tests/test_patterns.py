@@ -147,8 +147,9 @@ def test_text_round_trip(tmp_path):
     np.testing.assert_array_equal(row_cols, p.row_cols)
 
 
-# SHA-256 of row_cols for general_regular_pattern(n, d, seed), recorded
-# while every n <= 4096 build used the n x n count table.  They cover the
+# SHA-256 of row_cols as int64 values for general_regular_pattern(n, d,
+# seed), whatever index type the pattern stores them in, recorded while
+# every n <= 4096 build used the n x n count table.  They cover the
 # table path (2000, 1000), the scan (2000, 16) and (5000, 40), and the
 # complement of an (n - d)-regular pattern (600, 500).
 FROZEN_DIGESTS = {
@@ -177,7 +178,7 @@ FROZEN_DIGESTS = {
 
 @pytest.mark.parametrize("n, d, seed", sorted(FROZEN_DIGESTS))
 def test_frozen_digest(n, d, seed):
-    row_cols = general_regular_pattern(n, d, rng_seed=seed).row_cols
+    row_cols = general_regular_pattern(n, d, rng_seed=seed).row_cols.astype(np.int64)
     assert hashlib.sha256(row_cols.tobytes()).hexdigest() == FROZEN_DIGESTS[n, d, seed]
 
 
@@ -194,22 +195,51 @@ def test_table_and_scan_agree(n, data, seed):
 
 
 def test_caller_row_cols_stay_writable():
-    # The pattern freezes a view; the int64 array passed in is not copied.
-    rc = np.array([[1], [0]], dtype=np.int64)
+    # The pattern freezes a view; an array passed in its index type, int32
+    # below n * d = 2^31, is not copied.
+    rc = np.array([[1], [0]], dtype=np.int32)
     p = AdjacencyPattern(2, 1, PatternModel.BLOCK_PERMUTATION, rc)
     rc[0, 0] = 0
     assert not p.row_cols.flags.writeable and np.shares_memory(p.row_cols, rc)
 
 
-@pytest.mark.parametrize("column", [-1, 3, 1_000_000])
+@pytest.mark.parametrize("column", [-1, 3, 1_000_000, 2**32 + 1])
 def test_column_outside_the_matrix_is_refused(column):
     # Neither the compiled product nor the dense fill checks its indices: a
     # column of 10^6 read past the vector, and a negative one would wrap.
-    rc = np.array([[0, column], [1, 2], [0, 2]], dtype=np.int64)
+    # Cast to int32 first, 2^32 + 1 would pass as column 1.
+    rc = np.array([sorted([1, column]), [1, 2], [0, 2]], dtype=np.int64)
     with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
         AdjacencyPattern(3, 2, PatternModel.GENERAL_REGULAR, rc)
-    rc[0, 1] = 1
+    rc[0] = [0, 1]
     assert AdjacencyPattern(3, 2, PatternModel.GENERAL_REGULAR, rc).row_cols.max() == 2
+
+
+@pytest.mark.parametrize("rows, dtype", [
+    ([[1, 1], [0, 2], [0, 2]], np.int64),  # row 0 holds column 1 twice
+    ([[0, 1], [2, 0], [0, 2]], np.int64),  # row 1 is not sorted
+    ([[0, 1], [2, 0], [0, 2]], np.uint64),  # 0 - 2 wraps to a large uint64
+    ([[1, 1], [2, 0], [0, 2]], np.int32),
+], ids=["repeated", "unsorted", "unsorted-uint64", "both-int32"])
+def test_repeated_or_unsorted_columns_are_refused(rows, dtype):
+    # Accepted, row 0 of the first held one position with two weights added,
+    # and the second compared unequal to the same set written in order.
+    with pytest.raises(ValueError, match="repeats a column or is unsorted"):
+        AdjacencyPattern(3, 2, PatternModel.GENERAL_REGULAR, np.array(rows, dtype=dtype))
+
+
+def test_more_columns_than_rows_is_refused():
+    # d > n columns in [0, n) cannot all differ.
+    with pytest.raises(ValueError, match="repeats a column|outside"):
+        AdjacencyPattern(2, 3, PatternModel.GENERAL_REGULAR, np.array([[0, 1, 2], [0, 1, 2]]))
+    with pytest.raises(ValueError, match="repeats a column"):
+        AdjacencyPattern(2, 3, PatternModel.GENERAL_REGULAR, np.array([[0, 1, 1], [0, 0, 1]]))
+
+
+def test_non_integer_columns_are_refused():
+    # The cast to the index type would truncate 0.5 and 0.7 to one column.
+    with pytest.raises(ValueError, match="must hold integers"):
+        AdjacencyPattern(2, 2, PatternModel.GENERAL_REGULAR, np.array([[0.5, 0.7], [0.0, 1.0]]))
 
 
 @pytest.mark.parametrize("n, d", [(5, 0), (0, 3), (0, 0), (-1, 2)])
@@ -227,7 +257,7 @@ def test_block_index_is_d_only_for_aligned_blocks():
     block = block_permutation_pattern(3, 4, [1, 2, 0])
     b, indptr, indices = block.block_index
     assert b == 4 and indptr.tolist() == [0, 1, 2, 3] and indices.tolist() == [1, 2, 0]
-    assert indptr.dtype == indices.dtype == np.int32
+    assert indptr.dtype == indices.dtype == block.row_cols.dtype == np.int32
     assert not indptr.flags.writeable and not indices.flags.writeable
     assert block.block_index is block.block_index
     b, _, indices = patterns.full_pattern(5).block_index
@@ -241,8 +271,10 @@ def test_block_index_is_d_only_for_aligned_blocks():
               general_regular_pattern(60, 6, rng_seed=1),
               proportional_pattern(40, 0.25, rng_seed=3)]:
         b, indptr, indices = p.block_index
-        assert b == 1 and indptr.dtype == indices.dtype == np.int32
+        assert b == 1 and indptr.dtype == indices.dtype == p.row_cols.dtype == np.int32
         assert indptr.tolist() == list(range(0, p.n * p.d + 1, p.d))
+        # A CSR's column indices are row_cols itself, not a copy.
+        assert np.shares_memory(indices, p.row_cols)
         assert indices.tolist() == p.row_cols.reshape(-1).tolist()
         assert not indptr.flags.writeable and not indices.flags.writeable
 
@@ -250,8 +282,7 @@ def test_block_index_is_d_only_for_aligned_blocks():
 @settings(max_examples=200, deadline=None)
 @given(split_cases())
 def test_strong_components_agree_with_csgraph(case):
-    # csgraph runs on the dense 0/1 mask: on a CSR that repeats a column it
-    # miscounts the components.
+    # csgraph runs on the dense 0/1 mask.
     pattern, balanced = case
     count, labels = pattern.strong_components
     ref_count, ref_labels = connected_components(pattern.dense(), directed=True,
