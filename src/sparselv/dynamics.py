@@ -376,7 +376,8 @@ def jacobian_spectrum(M: InteractionMatrix, x: np.ndarray) -> SpectrumReport:
         cols = M.pattern.row_cols[members]
         inside = labels[cols] == k
         block = np.zeros((b - a, b - a), order="F")
-        np.add.at(block, (np.nonzero(inside)[0], place[cols[inside]] - a), M.weights[members][inside])
+        # Columns are distinct, so one write; + 0.0 as adding into the zeros would.
+        block[np.nonzero(inside)[0], place[cols[inside]] - a] = M.weights[members][inside] + 0.0
         block *= M.scale
         block[np.diag_indices(b - a)] -= 1.0
         block *= x[members, None]

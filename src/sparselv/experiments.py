@@ -39,15 +39,18 @@ Python 3.14).  The pin first loads scipy's bundled OpenBLAS, which only
 ``scipy.linalg`` or LAPACK's ``_flapack`` extension would load otherwise,
 so a trial that loads either after the fork (a Jacobian spectrum loads
 ``_flapack`` on its first call) finds it already pinned.  The libraries
-are found once per process, at the first pin (see ``_openblas``).  The pooled
-branch loads ``numpy.random`` before the fork too, for the workers to
-inherit; it is not loaded at import, which it would slow.
+are found once per process, at the first pin (see ``_openblas``).  Only
+the pooled branch imports ``multiprocessing`` and ``concurrent.futures``,
+and it loads ``numpy.random`` before the fork, for the workers to
+inherit; none of them is loaded at import, which they would slow.
 
 ``run_trials`` returns the results with the run's sidecar record:
 ``config`` (``cfg.echo()``), ``workers``, ``blas_threads`` (per library, as
 the trials saw them), ``blas_cores`` (per library, the core whose kernels
 fix the bits of LAPACK's outputs), the ``python``, ``numpy``, ``scipy`` and
 package ``version`` and ``wall_time_s``, the wall time of the engine call.
+The ``scipy`` version is read from scipy's ``version.py`` by path, so a run
+imports the ``scipy`` package only if it calls an ARPACK helper.
 Drivers return it as their ``provenance``; the histogram adds its ``bins``.
 """
 
@@ -57,18 +60,16 @@ import ctypes
 import functools
 import glob
 import math
-import multiprocessing
 import os
 import platform
+import runpy
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from numbers import Integral, Real
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .patterns import (
@@ -81,6 +82,7 @@ from .patterns import (
 )
 # spectral_norm is unused here; perfbench/tracing.py wraps it by this name.
 from .interaction import InteractionMatrix, assemble, singular_gap, spectral_norm  # noqa: F401
+from .interaction import _SCIPY_DIR
 from .equilibrium import DivergenceError, solve_feasibility
 from .dynamics import TrajectoryRecord, integrate_lv, jacobian_spectrum
 
@@ -315,7 +317,14 @@ def _matrix(task: tuple[int, int]) -> InteractionMatrix:
 
 
 # A scipy wheel bundles its OpenBLAS here; other builds have no such directory.
-_SCIPY_LIBS = os.path.dirname(scipy.__file__) + ".libs"
+_SCIPY_LIBS = _SCIPY_DIR + ".libs"
+
+
+@functools.cache
+def _scipy_version() -> str:
+    """``scipy.__version__``, read once per process from its source, scipy's
+    ``version.py``, run by path without importing ``scipy``."""
+    return runpy.run_path(os.path.join(_SCIPY_DIR, "version.py"))["version"]
 
 
 @functools.cache
@@ -387,9 +396,11 @@ def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1):
             if workers == 1:
                 results = [trial_fn(t) for t in tasks]
             else:
-                # numpy loads numpy.random (11 extension modules) on first use, and
-                # every worker's draws use it: load it once, before the fork.
+                # Only a pooled call loads the pool, and numpy.random (11 extension
+                # modules, loaded on first use) before the fork, once for every worker.
+                import multiprocessing
                 import numpy.random  # noqa: F401
+                from concurrent.futures import ProcessPoolExecutor
                 # A fork pool starts all its workers at the first submit, however few the tasks.
                 workers = max(1, min(workers, len(tasks)))
                 chunk = max(1, min(8, len(tasks) // (2 * workers)))
@@ -400,7 +411,7 @@ def run_trials(cfg: SweepConfig, tasks, trial_fn, workers: int = 1):
         _CTX.clear()
     return results, {
         "config": cfg.echo(), "workers": workers, **blas,
-        "python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__,
+        "python": platform.python_version(), "numpy": np.__version__, "scipy": _scipy_version(),
         "version": __version__, "wall_time_s": time.time() - t0,
     }
 
@@ -572,7 +583,7 @@ def _dynamics_trial(trial: int) -> tuple[np.ndarray, TrajectoryRecord]:
     M = _matrix((0, trial))
     report = _solve(M)
     reference = report.x if report is not None and report.feasible else None
-    rng = np.random.default_rng(trial_seed(cfg.master_seed, 0, 1))
+    rng = np.random.default_rng(int(_seed_table(cfg.master_seed, 0, 1)[0]))
     species = np.sort(rng.choice(cfg.n, size=min(10, cfg.n), replace=False))
     record = integrate_lv(
         M, np.full(cfg.n, 0.5), cfg.t_end, sample_count=201, reference=reference, rows=species

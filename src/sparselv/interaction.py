@@ -22,22 +22,25 @@ to scipy; this is the package's one import of it, and
 ``tests/test_interaction.py::test_product_matches_csr_bytes`` fails if a
 scipy release moves or changes it.
 
-``_load_extension`` loads one of scipy's compiled extensions by path,
-reusing the module if scipy already imported it.  It serves two: the
-kernel's ``scipy.sparse._sparsetools``, at import, and LAPACK's
-``scipy.linalg._flapack``, on the first Jacobian spectrum.  Importing
-their packages would also load scipy's ``array_api_compat``,
-``numpy.f2py`` and ``numpy.testing``, about half of the package's import
-time and memory, which no trial needs.  The ``sys.modules`` entry that an
-extension's single-phase init makes is removed, so a later import of its
-package runs as in a fresh interpreter.  Dense matrices are filled from
-``row_cols`` in numpy; only ``_unscaled_bsr``, for the ARPACK helpers
-``spectral_norm`` and ``stability_certificate``, imports ``scipy.sparse``.
+``_load_extension`` loads one of scipy's compiled extensions by path, from
+the directory that ``importlib.util.find_spec`` gives without running
+scipy's ``__init__`` (which loads ``subprocess`` and ``sysconfig``), and
+reuses the module if scipy already imported it.  It serves the kernel's
+``scipy.sparse._sparsetools``, at import, and LAPACK's
+``scipy.linalg._flapack``, on the first Jacobian spectrum.  Their packages
+would also load scipy's ``array_api_compat``, ``numpy.f2py`` and
+``numpy.testing``, which no trial needs.  The ``sys.modules`` entry that
+an extension's single-phase init makes is removed, so a later import of
+its package runs as in a fresh interpreter.  Dense matrices are filled
+from ``row_cols`` in numpy; only ``_unscaled_bsr``, for the ARPACK helpers
+``spectral_norm`` and ``stability_certificate``, imports ``scipy.sparse``,
+and with it ``scipy``.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
 import os
 import sys
@@ -46,7 +49,6 @@ from dataclasses import dataclass, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-import scipy
 
 from .patterns import AdjacencyPattern
 
@@ -67,14 +69,18 @@ NORM_ENVELOPE = 22.0
 DENSE_SPECTRUM_LIMIT = 512
 
 
+# scipy's directory, found without running the package's __init__.
+_SCIPY_DIR = importlib.util.find_spec("scipy").submodule_search_locations[0]
+
+
 @functools.cache
 def _load_extension(package: str, name: str):
-    """scipy's compiled extension ``scipy.<package>.<name>``, loaded by file
-    once."""
+    """scipy's compiled extension ``scipy.<package>.<name>``, loaded once
+    from its file under ``_SCIPY_DIR``, without importing ``scipy``."""
     full = f"scipy.{package}.{name}"
     if full in sys.modules:
         return sys.modules[full]
-    spec = FileFinder(os.path.join(os.path.dirname(scipy.__file__), package),
+    spec = FileFinder(os.path.join(_SCIPY_DIR, package),
                       (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(full)
     module = spec.loader.create_module(spec)
     spec.loader.exec_module(module)
@@ -130,8 +136,8 @@ class InteractionMatrix:
         """Same Gaussian draw, different interaction strength; shares the weights."""
         return replace(self, alpha=alpha)
 
-    def _unscaled_bsr(self) -> scipy.sparse.bsr_matrix:
-        # BSR of mask*A (raw weights, no normalization) for the ARPACK
+    def _unscaled_bsr(self):
+        # scipy's BSR of mask*A (raw weights, no normalization) for the ARPACK
         # helpers.  Its data is a view of the weights, its indices the pattern's.
         import scipy.sparse as sp
         b, indptr, indices = self.pattern.block_index
@@ -171,10 +177,10 @@ class InteractionMatrix:
         return self.weights.sum(axis=1) / math.sqrt(self.d)
 
     def _unscaled_dense(self) -> np.ndarray:
-        # Dense mask*A (raw weights): each weight added to a 0.0, in row-major
-        # position order, as csr.toarray() writes it.
+        # Dense mask*A (raw weights), one write of distinct positions: each
+        # weight as csr.toarray() adds it to a 0.0, -0.0 entering as +0.0.
         out = np.zeros((self.n, self.n))
-        np.add.at(out, (np.arange(self.n)[:, None], self.pattern.row_cols), self.weights)
+        out[np.arange(self.n)[:, None], self.pattern.row_cols] = self.weights + 0.0
         return out
 
     def dense(self, unscaled: bool = False) -> np.ndarray:

@@ -41,6 +41,12 @@ class PatternModel(enum.Enum):
 MODELS = tuple(m.value for m in PatternModel)
 
 
+def _index_type(n: int, d: int) -> type:
+    """The kernel's index type for n rows of d columns, in which it computes
+    each block's offset b^2 * jj."""
+    return np.int32 if n * d < 2**31 else np.int64
+
+
 @dataclass(frozen=True)
 class AdjacencyPattern:
     """Sparsity mask of a directed d-regular graph on n vertices.
@@ -86,8 +92,7 @@ class AdjacencyPattern:
         # Each row increases, so its first and last columns bound the rest.
         if rc[:, 0].min() < 0 or rc[:, -1].max() >= self.n:
             raise ValueError(f"row_cols has a column outside [0, {self.n})")
-        # The kernel computes each block's offset b^2 * jj in the index type.
-        rc = rc.astype(np.int32 if self.n * self.d < 2**31 else np.int64, copy=False)
+        rc = rc.astype(_index_type(self.n, self.d), copy=False)
         if rc.flags.writeable:  # freeze a view, not the caller's array
             rc = rc.view()
             rc.setflags(write=False)
@@ -181,7 +186,9 @@ def block_permutation_pattern(m: int, d: int, sigma) -> AdjacencyPattern:
     if sigma.shape != (m,) or not np.array_equal(np.sort(sigma), np.arange(m)):
         raise ValueError(f"sigma is not a permutation of range({m}): {sigma.tolist()}")
     sigma = sigma.astype(np.int64)
-    row_cols = np.repeat(sigma * d, d)[:, None] + np.arange(d)
+    # Built in the index type, so no int64 copy lives beside the pattern's.
+    index = _index_type(m * d, d)
+    row_cols = np.repeat((sigma * d).astype(index), d)[:, None] + np.arange(d, dtype=index)
     model = PatternModel.FULL if m == 1 else PatternModel.BLOCK_PERMUTATION
     return AdjacencyPattern(
         n=m * d, d=d, model=model, row_cols=row_cols, meta={"sigma": sigma}

@@ -838,11 +838,26 @@ def test_import_loads_no_ode_or_yaml():
     """A fresh ``import sparselv`` leaves scipy.integrate, scipy.optimize
     and yaml unloaded (only --config needs yaml), and the spectrum modules
     too, scipy.sparse included: it loads numpy and the compiled CSR kernel
-    only.  numpy.random stays unloaded too: a pooled ``run_trials`` loads
-    it before the fork, and an in-process trial on first use."""
+    only, by file, so not even the ``scipy`` package, whose ``__init__``
+    loads ``subprocess``.  numpy.random stays unloaded too: a pooled
+    ``run_trials`` loads it before the fork, and an in-process trial on
+    first use; so do ``multiprocessing`` and the process pool, which only
+    a pooled call imports."""
     code = "import sparselv, sparselv.cli, sparselv.experiments"
-    names = ("scipy.integrate", "scipy.optimize", "yaml", "numpy.random") + SPECTRUM_MODULES
+    names = ("scipy.integrate", "scipy.optimize", "yaml", "numpy.random", "scipy",
+             "multiprocessing", "concurrent.futures.process", "subprocess") + SPECTRUM_MODULES
     assert _modules_loaded_after(code, names) == []
+
+
+def test_run_reads_the_scipy_version_without_importing_scipy(tmp_path):
+    """A sweep in a fresh interpreter imports neither the ``scipy`` package
+    nor the process pool, yet its sidecar's ``scipy`` field is
+    ``scipy.__version__``, read here after the run."""
+    config = write_config(tmp_path, n=40, d=4, kappa_grid=[2.0, 4.0], trials_per_point=2)
+    out = str(tmp_path / "out.csv")
+    code = f"from sparselv import cli\nassert cli.main(['sweep', '--config', {config!r}, '--out', {out!r}]) == 0"
+    assert _modules_loaded_after(code, ("scipy", "multiprocessing")) == []
+    assert json.loads(open(out + ".meta.json").read())["scipy"] == scipy.__version__
 
 
 def test_ode_paths_load_no_integrator_library():
@@ -865,10 +880,12 @@ def test_ode_paths_load_no_integrator_library():
 
 def test_spectrum_run_loads_no_spectrum_module(tmp_path):
     """A ``sparselv spectrum`` run, and a ``sweep`` and a ``histogram``
-    run, each on two workers, load none of the spectrum modules, in the
-    caller or (the check runs on each worker's module list too) in their
-    trials.  The histogram's per-trial general patterns take the compiled
-    kernel at 1 x 1 blocks, the other runs' block pattern at d x d."""
+    run, each on two workers, load none of the spectrum modules, nor the
+    ``scipy`` package, in the caller or (the check runs on each worker's
+    module list too) in their trials.  The histogram's per-trial general
+    patterns take the compiled kernel at 1 x 1 blocks, the other runs'
+    block pattern at d x d."""
+    names = ("scipy",) + SPECTRUM_MODULES
     runs = [("spectrum", "_spectrum_trial", {}, ["--kappa", "8"]),
             ("sweep", "_sweep_trial", {}, []),
             ("histogram", "_hist_trial", {"model": "general_regular", "fix_pattern": False},
@@ -883,13 +900,13 @@ from sparselv import cli, experiments
 trial = experiments.{trial}
 def probed(*args, **kwargs):
     result = trial(*args, **kwargs)
-    assert not [m for m in {SPECTRUM_MODULES!r} if m in sys.modules], "a trial loaded one"
+    assert not [m for m in {names!r} if m in sys.modules], "a trial loaded one"
     return result
 experiments.{trial} = probed
 assert cli.main([{command!r}, "--config", {config!r}, *{args!r}, "--threads", "2",
                  "--out", {str(out)!r}]) == 0
 """
-        assert _modules_loaded_after(code, SPECTRUM_MODULES) == [], command
+        assert _modules_loaded_after(code, names) == [], command
     assert len((tmp_path / "spectrum" / "out.csv").read_text().splitlines()) == 3
 
 

@@ -19,6 +19,7 @@ from sparselv.experiments import SweepConfig, build_pattern, pattern_seed, trial
 from sparselv import (
     AdjacencyPattern,
     IntegrationError,
+    InteractionMatrix,
     PatternModel,
     assemble,
     block_permutation_pattern,
@@ -411,6 +412,19 @@ class TestJacobianBlocks:
         # 0.5 + 0.25; such a pattern is refused before any matrix is drawn.
         with pytest.raises(ValueError, match="repeats a column"):
             AdjacencyPattern(3, 2, PatternModel.GENERAL_REGULAR, np.array([[1, 1], [0, 2], [0, 2]]))
+
+    def test_negative_zero_weight_fills_as_zero(self):
+        # A block is one write of distinct positions, each weight + 0.0, so
+        # -0.0 enters as +0.0, as adding it into the zeros would.
+        p = full_pattern(6)
+        w = assemble(p, alpha=2.0, seed=3).weights.copy()
+        x = np.random.default_rng(0).uniform(0.5, 2.0, 6)
+        w[1, 3] = -0.0
+        neg_rep, neg = _solved_blocks(InteractionMatrix(p, w.copy(), alpha=2.0), x)
+        w[1, 3] = 0.0
+        pos_rep, pos = _solved_blocks(InteractionMatrix(p, w, alpha=2.0), x)
+        assert [b.tobytes() for b in neg] == [b.tobytes() for b in pos]
+        assert neg_rep.eigenvalues.tobytes() == pos_rep.eigenvalues.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(split_cases(max_n=300), st.integers(0, 2**32 - 1))

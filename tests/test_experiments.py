@@ -181,6 +181,8 @@ class TestSeeds:
         per_trial = replace(cfg, model="general_regular", fix_pattern=False)
         sweep = run_feasibility_sweep(cfg).rows
         hist = run_abundance_histogram(per_trial, kappa=8.0)
+        trace_cfg = replace(cfg, t_end=2.0)
+        trace = run_dynamics_trace(trace_cfg, 4.0)
 
         def refuse(*args):
             raise AssertionError("a trial hashed its seed with SeedSequence")
@@ -191,6 +193,10 @@ class TestSeeds:
         again = run_abundance_histogram(per_trial, kappa=8.0)
         assert again.counts.tobytes() == hist.counts.tobytes()
         assert repr((again.mean, again.variance)) == repr((hist.mean, hist.variance))
+        # The trace's species come from the run's table too: trial_seed(seed, 0, 1).
+        retraced = run_dynamics_trace(trace_cfg, 4.0)
+        assert retraced.species_indices.tolist() == trace.species_indices.tolist()
+        assert retraced.record.states.tobytes() == trace.record.states.tobytes()
 
 
 class TestBuildPattern:

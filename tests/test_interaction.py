@@ -433,3 +433,19 @@ class TestSingularGap:
         p = general_regular_pattern(10, 3, rng_seed=4)
         gaps = [singular_gap(assemble(p, 1.0, seed=s)) for s in range(50)]
         assert min(gaps) > 1e-10
+
+
+def test_dense_fill_takes_negative_zero_as_adding_into_zeros():
+    # One write of distinct positions, each weight + 0.0: a weight of -0.0
+    # fills +0.0, as csr.toarray() and np.add.at on zeros do, not -0.0.
+    p = full_pattern(6)
+    w = assemble(p, alpha=2.0, seed=3).weights.copy()
+    w[1, 3] = -0.0
+    neg = InteractionMatrix(p, w.copy(), alpha=2.0)
+    ref = np.zeros((6, 6))
+    np.add.at(ref, (np.arange(6)[:, None], p.row_cols), w)
+    w[1, 3] = 0.0
+    pos = InteractionMatrix(p, w, alpha=2.0)
+    assert neg._unscaled_dense().tobytes() == ref.tobytes() == pos._unscaled_dense().tobytes()
+    assert neg.dense().tobytes() == pos.dense().tobytes()
+    assert neg.dense(unscaled=True).tobytes() == pos.dense(unscaled=True).tobytes()
