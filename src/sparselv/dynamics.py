@@ -8,9 +8,9 @@ integrator; the tests keep ``solve_ivp`` as the reference.  It sums in a
 fixed numpy order, with no BLAS, so a seed gives the same bits on every
 host.  The field is non-stiff in the regimes of interest (equilibrium
 Jacobian eigenvalues are O(1) negative), so stiffness shows up as an
-abort, never as silent degradation.  The dense output is folded into the
-trajectory's per-sample statistics 32 samples at a time, so a run keeps
-the full trace of only the species asked for.  Jacobian spectra are
+abort, never as silent degradation.  Each dense-output sample is folded
+into the trajectory's per-sample statistics as the stepper makes it, so a
+run keeps the full trace of only the species asked for.  Jacobian spectra are
 computed one strongly connected component of the pattern at a time (for a
 block-permutation pattern, one cycle of sigma at a time), split by the
 pattern itself and solved by LAPACK's ``dgeev`` from scipy's ``_flapack``
@@ -89,10 +89,11 @@ def integrate_lv(
     """Integrate the LV system over [0, t_end] with dense sampling at
     ``sample_count`` >= 2 uniform times, 0 and t_end included.
 
-    The samples are reduced while the integration steps, at most
-    ``_BLOCK`` = 32 sample columns at a time, into the per-sample min, max
-    and mean, the final state and, when ``reference`` is given, the
-    Euclidean distance to it.  ``states`` keeps the species ``rows`` (all
+    Each sample is reduced as the stepper makes it into its min, max and
+    mean and, when ``reference`` is given, its Euclidean distance to it.
+    The sums add the species in order (``np.cumsum``; ``np.sum`` adds
+    pairwise), as ``mean`` and ``norm`` along axis 0 of the whole states
+    array do.  The last sample is the final state.  ``states`` keeps the species ``rows`` (all
     of them by default) at every sample; with a few rows a run holds no
     (n, samples) array.  A clearly negative state (beyond the integrator
     noise floor) or a step-size underflow aborts with
@@ -110,7 +111,10 @@ def integrate_lv(
         if not np.isfinite(reference).all():
             raise ValueError("reference must be finite")
     if rows is not None:
-        rows = np.asarray(rows, dtype=np.intp)
+        rows = np.asarray(rows)
+        if rows.size and not np.issubdtype(rows.dtype, np.integer):  # [] is float64
+            raise ValueError(f"rows must hold integers, got {rows.dtype}")
+        rows = rows.astype(np.intp)
         if rows.ndim != 1 or ((rows < 0) | (rows >= M.n)).any():
             raise ValueError(f"rows must be a list of species indices below {M.n}")
     if not 0 < t_end < np.inf:
@@ -123,11 +127,32 @@ def integrate_lv(
         raise ValueError(f"sample_count must be at least 2, got {sample_count}")
 
     t_eval = np.linspace(0.0, t_end, sample_count)
-    blocks = _SampleBlocks(M.n, t_eval, reference, rows)
-    _, t_stop = _dormand_prince(
-        lambda x: lv_field(M, x), x0, float(t_end), rel_tol, abs_tol, t_eval, blocks.columns
+    lo, hi, mean, distance = np.empty((4, sample_count))
+    states = np.empty((M.n if rows is None else rows.size, sample_count))
+    final_state = None
+
+    def fold(j, y):
+        nonlocal final_state
+        lo[j], hi[j] = y.min(), y.max()
+        mean[j] = np.cumsum(y)[-1] / M.n
+        if reference is not None:
+            diff = y - reference
+            distance[j] = np.sqrt(np.cumsum(diff * diff)[-1])
+        states[:, j] = y if rows is None else y[rows]
+        final_state = y
+
+    reached, t_stop = _dormand_prince(
+        lambda x: lv_field(M, x), x0, float(t_end), rel_tol, abs_tol, t_eval, fold
     )
-    record = blocks.record()
+    record = None if not reached else TrajectoryRecord(
+        times=t_eval[:reached].copy(),
+        states=np.ascontiguousarray(states[:, :reached]),
+        min_series=lo[:reached],
+        max_series=hi[:reached],
+        mean_series=mean[:reached],
+        final_state=final_state,
+        distance_series=None if reference is None else distance[:reached],
+    )
     if t_stop < t_end:
         raise IntegrationError(
             f"integration aborted at t={t_stop:.5g}: Required step size is less "
@@ -178,16 +203,16 @@ def _lincomb(coefs, terms):
     return acc
 
 
-def _dormand_prince(fun, y, t_bound, rtol, atol, t_eval, columns):
+def _dormand_prince(fun, y, t_bound, rtol, atol, t_eval, fold):
     """Integrate the autonomous y' = fun(y) from t = 0 to ``t_bound`` and
     sample the dense output at ``t_eval`` (sorted, within [0, t_bound]).
 
     The method is scipy's RK45 (the initial step of Hairer, Norsett &
     Wanner II.4, the RMS error norm, the controller with safety 0.9 and
     factors in [0.2, 10], a step cut whenever the error norm is not below 1,
-    a NaN included), summed in a fixed numpy order, not in BLAS.  Samples
-    j to j + w - 1 are written, row chunk by row chunk, to the (n, w) array
-    ``columns(j, w)``, in order and at most ``_BLOCK`` at a time.  Returns
+    a NaN included), summed in a fixed numpy order, not in BLAS.  Each
+    sample j is handed, in order, to ``fold(j, y)`` as a new length-n
+    vector, the stages' weights for its time added stage by stage.  Returns
     the number of samples reached and the time the integration stopped at,
     which is below ``t_bound`` when the step fell under ten float spacings.
     """
@@ -234,99 +259,10 @@ def _dormand_prince(fun, y, t_bound, rtol, atol, t_eval, columns):
         if upto > done:
             powers = np.cumprod(np.tile((t_eval[done:upto] - t_old) / h, (4, 1)), axis=0)
             weights = _lincomb(_DP_P.T[:, :, None], powers)  # (stage, sample)
-            for j in range(done, upto, _BLOCK):
-                w = weights[:, j - done:j - done + _BLOCK, None]
-                out = columns(j, w.shape[1])
-                for a, b in _row_chunks(y.size, w.shape[1]):  # (sample, row) sums
-                    out[a:b] = (h * _lincomb(w, K[:, None, a:b]) + y_old[a:b]).T
+            for j in range(done, upto):
+                fold(j, h * _lincomb(weights[:, j - done], K) + y_old)
             done = upto
     return done, t
-
-
-# Rows per chunk at _BLOCK columns: a chunk's temporaries hold _CHUNK_ROWS * _BLOCK values.
-_CHUNK_ROWS = 256
-
-# Sample columns per block of the dense output: the stepper writes at most
-# this many samples before they are folded into the record's series.
-_BLOCK = 32
-
-
-def _row_chunks(n, columns=_BLOCK):
-    """Row ranges covering ``range(n)``, of _CHUNK_ROWS * _BLOCK // columns rows."""
-    rows = _CHUNK_ROWS * _BLOCK // columns
-    return ((a, min(a + rows, n)) for a in range(0, n, rows))
-
-
-def _row_sum(a):
-    """Sum over axis 0 adding the rows in order, as np.add.reduce does for
-    two or more columns; it sums a single column pairwise."""
-    return np.add.reduce(a, axis=0) if a.shape[1] > 1 else np.cumsum(a, axis=0)[-1]
-
-
-class _SampleBlocks:
-    """The dense output of one run, folded into a :class:`TrajectoryRecord`
-    a block of at most ``_BLOCK`` sample columns at a time.
-
-    The series equal those of the whole (n, samples) array bit for bit:
-    min, max, mean(axis=0), and norm(states - reference[:, None], axis=0),
-    whose sums add the rows in order.  Without ``rows`` the block is a view
-    into ``states``; with them it is an (n, _BLOCK) buffer whose ``rows``
-    are copied out as it is folded.
-    """
-
-    def __init__(self, n, times, reference, rows):
-        self.n, self.times, self.reference, self.rows = n, times, reference, rows
-        self.min, self.max, self.mean, self.distance = (np.empty(times.size) for _ in range(4))
-        self.states = np.empty((n if rows is None else rows.size, times.size))
-        self.buffer = None if rows is None else np.empty((n, min(_BLOCK, times.size)))
-        self.start = self.stop = 0  # samples of the block not folded yet
-
-    def columns(self, j, w):
-        """The (n, w) array that samples j to j + w - 1 are written to.  When
-        they do not fit in the current block, it is folded and a new one
-        starts at sample j."""
-        if j + w - self.start > _BLOCK:
-            self._fold()
-        self.stop = j + w
-        return self._block()[:, j - self.start:]
-
-    def _block(self):
-        if self.buffer is None:
-            return self.states[:, self.start:self.stop]
-        return self.buffer[:, :self.stop - self.start]
-
-    def _fold(self):
-        block, cols = self._block(), slice(self.start, self.stop)
-        self.min[cols] = block.min(axis=0)
-        self.max[cols] = block.max(axis=0)
-        self.mean[cols] = _row_sum(block) / self.n
-        if self.reference is not None:
-            total = np.zeros(block.shape[1])
-            for a, b in _row_chunks(self.n):
-                diff = block[a:b] - self.reference[a:b, None]
-                total = _row_sum(np.vstack([total, diff * diff]))
-            self.distance[cols] = np.sqrt(total)
-        if self.rows is not None:
-            self.states[:, cols] = block[self.rows]
-        self.start = self.stop
-
-    def record(self):
-        """Folds the last block and returns the record of the samples
-        reached, or None when there are none."""
-        if not self.stop:
-            return None
-        final_state = self._block()[:, -1].copy()
-        self._fold()
-        reached = slice(0, self.stop)
-        return TrajectoryRecord(
-            times=self.times[reached].copy(),
-            states=np.ascontiguousarray(self.states[:, reached]),
-            min_series=self.min[reached],
-            max_series=self.max[reached],
-            mean_series=self.mean[reached],
-            final_state=final_state,
-            distance_series=None if self.reference is None else self.distance[reached],
-        )
 
 
 @dataclass

@@ -143,6 +143,26 @@ class TestIntegrateLv:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             integrate_lv(zero_matrix(3), np.ones(3), 1.0, **kwargs)
 
+    @pytest.mark.parametrize("rows, kept", [
+        # Cast to intp unchecked, these would run as rows [0, 1] and [1, 0].
+        ([0.5, 1.7], None),
+        ([True, False], None),
+        ([-1], None),
+        ([3], None),
+        ([[0, 1]], None),
+        ([], []),  # float64 to np.asarray, and what _ode_limit_support passes
+        (np.array([2, 0], dtype=np.uint8), [2, 0]),
+    ], ids=["float", "bool", "negative", "past_n", "2d", "empty", "uint8"])
+    def test_rows_are_species_indices(self, rows, kept):
+        M, x0 = zero_matrix(3), np.array([0.5, 1.0, 2.0])
+        if kept is None:
+            with pytest.raises(ValueError, match="rows"):
+                integrate_lv(M, x0, 1.0, sample_count=3, rows=rows)
+        else:
+            full = integrate_lv(M, x0, 1.0, sample_count=3)
+            part = integrate_lv(M, x0, 1.0, sample_count=3, rows=rows)
+            np.testing.assert_array_equal(part.states, full.states[kept])
+
 
 class TestDormandPrince:
     """The in-package stepper against scipy's RK45, the reference it follows."""
@@ -182,9 +202,12 @@ class TestDormandPrince:
         x0 = np.full(n, 0.5)
         t_eval = np.linspace(0.0, t_end, sample_count)
         states = np.empty((n, sample_count))
+
+        def fold(j, y):
+            states[:, j] = y
+
         reached, t_stop = dynamics._dormand_prince(
-            lambda x: lv_field(M, x), x0, t_end, 1e-8, 1e-10, t_eval,
-            lambda j, w: states[:, j:j + w],
+            lambda x: lv_field(M, x), x0, t_end, 1e-8, 1e-10, t_eval, fold
         )
         states = states[:, :reached]
         sol = solve_ivp(lambda t, x: lv_field(M, x), (0.0, t_end), x0, method="RK45",
@@ -530,8 +553,8 @@ print(report.components, (peak() - before) / (n * n * 8))
 
 class TestFootprint:
     """The stability path holds one full-size array: the Jacobian block, or
-    the sampled states.  Chunking the dense output and the distance series
-    over rows keeps every other temporary small, and changes no bit."""
+    the sampled states.  The dense output is made and folded one sample, a
+    length-n vector, at a time, so every other temporary is small."""
 
     def test_spectrum_holds_one_block(self):
         """tracemalloc sees numpy's array buffers only: not the workspace
@@ -576,32 +599,9 @@ class TestFootprint:
         )
         assert tr.states.shape == (10, 201)
         assert peak < 0.4 * n * 201 * 8
-
-    @pytest.mark.parametrize("n", [1000, 1025])
-    def test_chunks_change_no_bit(self, n, monkeypatch):
-        assert len(list(dynamics._row_chunks(n))) > 1
-        M = assemble(general_regular_pattern(n, 6, rng_seed=n), alpha=3.0, seed=n)
-        reference = solve_feasibility(M).x
-
-        def run():
-            return integrate_lv(M, np.full(n, 0.5), 20.0, sample_count=201, reference=reference)
-
-        chunked = run()
-        monkeypatch.setattr(dynamics, "_CHUNK_ROWS", n)
-        assert len(list(dynamics._row_chunks(n))) == 1
-        whole = run()
-        np.testing.assert_array_equal(chunked.states, whole.states)
-        np.testing.assert_array_equal(chunked.distance_series, whole.distance_series)
-        np.testing.assert_array_equal(
-            chunked.distance_series, np.linalg.norm(chunked.states - reference[:, None], axis=0)
-        )
-
-    @pytest.mark.parametrize("n", [1, 2, 3, 256, 257, 258, 512, 513, 1000])
-    def test_row_chunks_cover_without_single_rows(self, n):
-        chunks = list(dynamics._row_chunks(n))
-        assert chunks[0][0] == 0 and chunks[-1][1] == n
-        assert all(b == c for (_, b), (c, _) in zip(chunks, chunks[1:]))
-        assert all(0 < b - a <= dynamics._CHUNK_ROWS for a, b in chunks)
+        # The stepper's stages and a few n-vectors (18 measured); an (n, 32)
+        # buffer of samples would take it to 49.
+        assert peak < 30 * n * 8
 
     @pytest.mark.parametrize("M", [
         assemble(block_permutation_pattern(40, 8, np.random.default_rng(4).permutation(40)),
@@ -638,11 +638,10 @@ def _trial_matrix(model, n, d_index, kappa, seed):
 
 
 def _assert_rows_change_no_bit(M, t_end, samples, reference, rows):
-    """Integrates from x0 = 1/2 keeping all rows, keeping ``rows``, and
-    folding all samples as one block, and checks that the records, or the
-    aborted runs' partial records, agree bit for bit and have the series of
-    the whole states array.  Returns the full record and the abort
-    message, if any."""
+    """Integrates from x0 = 1/2 keeping all rows and keeping ``rows``, and
+    checks that the records, or the aborted runs' partial records, agree
+    bit for bit and have the series of the whole states array.  Returns the
+    full record and the abort message, if any."""
 
     def run(rows):
         try:
@@ -653,18 +652,14 @@ def _assert_rows_change_no_bit(M, t_end, samples, reference, rows):
             return exc.record, str(exc)
 
     (full, error), (part, part_error) = run(None), run(rows)
-    with mock.patch.object(dynamics, "_BLOCK", samples):
-        whole, whole_error = run(None)
-    assert part_error == error and whole_error == error
+    assert part_error == error
     if full is None:
-        assert part is None and whole is None
+        assert part is None
         return full, error
     for name in ("times", "min_series", "max_series", "mean_series", "final_state",
                  "distance_series"):
         np.testing.assert_array_equal(getattr(part, name), getattr(full, name))
-        np.testing.assert_array_equal(getattr(whole, name), getattr(full, name))
     states = full.states
-    np.testing.assert_array_equal(whole.states, states)
     np.testing.assert_array_equal(part.states, states[rows])
     np.testing.assert_array_equal(full.min_series, states.min(axis=0))
     np.testing.assert_array_equal(full.max_series, states.max(axis=0))
@@ -687,8 +682,9 @@ def _assert_rows_change_no_bit(M, t_end, samples, reference, rows):
 
 
 class TestSampleBlocks:
-    """The dense output is folded into the record at most _BLOCK samples at
-    a time; which rows ``states`` keeps changes no bit of the record."""
+    """The dense output is folded into the record one sample at a time, with
+    the series of the whole states array; which rows ``states`` keeps
+    changes no bit of the record."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -710,7 +706,8 @@ class TestSampleBlocks:
         _assert_rows_change_no_bit(M, t_end, samples, reference, rows)
 
     # Configs (model, n, d_index, kappa, t_end, samples, seed) whose runs
-    # reach the edges of the folding, found by a search over the space above.
+    # reach edges of the sampling: a first step that makes 43 samples, a
+    # last step that makes one, and a run that aborts after 34 of 100.
     EDGES = {
         "first_step_over_a_block": ("block_permutation", 584, 33, 0.3, 0.05, 193, 49887),
         "last_block_of_one_column": ("block_permutation", 578, 10, 0.2, 50.0, 65, 758),
@@ -719,47 +716,17 @@ class TestSampleBlocks:
 
     @pytest.mark.parametrize("with_reference", [True, False])
     @pytest.mark.parametrize("edge", sorted(EDGES))
-    def test_edges_change_no_bit(self, edge, with_reference, monkeypatch):
+    def test_edges_change_no_bit(self, edge, with_reference):
         model, n, d_index, kappa, t_end, samples, seed = self.EDGES[edge]
         M = _trial_matrix(model, n, d_index, kappa, seed)
         reference = np.random.default_rng(seed).uniform(0.0, 2.0, n) if with_reference else None
-        evaluations, runs = [0], []
-        field = dynamics.lv_field
-
-        def counted_field(M, x):
-            evaluations[0] += 1
-            return field(M, x)
-
-        class Spy(dynamics._SampleBlocks):
-            def __init__(self, *args):
-                super().__init__(*args)
-                self.pieces, self.folds = [], []
-                runs.append(self)
-
-            def columns(self, j, w):
-                self.pieces.append((evaluations[0], w))
-                return super().columns(j, w)
-
-            def _fold(self):
-                self.folds.append(self.stop - self.start)
-                super()._fold()
-
-        monkeypatch.setattr(dynamics, "lv_field", counted_field)
-        monkeypatch.setattr(dynamics, "_SampleBlocks", Spy)
         rows = np.random.default_rng(seed).choice(n, size=10, replace=False)
         full, error = _assert_rows_change_no_bit(M, t_end, samples, reference, rows)
-        pieces, folds = runs[0].pieces, runs[0].folds  # the run that keeps all rows
-        assert 0 < max(folds) <= dynamics._BLOCK
-        # The pieces written after the same number of field evaluations
-        # belong to one step.
-        first_step = sum(w for count, w in pieces if count == pieces[0][0])
-        if edge == "first_step_over_a_block":
-            assert error is None and first_step > dynamics._BLOCK
-        elif edge == "last_block_of_one_column":
-            assert error is None and folds[-1] == 1
-        else:
+        if edge == "aborted_after_a_block":
             assert error.startswith("integration aborted")
-            assert dynamics._BLOCK < full.times.size < samples
+            assert 1 < full.times.size < samples
+        else:
+            assert error is None
 
 
 class TestStabilityCertificate:
